@@ -26,6 +26,7 @@ from .experiment import (
     SEED_STRIDE,
     DeficiencyPoint,
     Strategy,
+    _check_n_list,
     _curve,
     crossing_scan,
     fit_rate,
@@ -111,18 +112,16 @@ def _parse_strategy(text: str) -> Strategy:
         except ValueError:
             raise ParameterDomainError(f"bad market count in strategy {text!r}") from None
     if text.startswith("ksched="):
-        name = text.split("=", 1)[1]
-        if name not in ("theory", "ebay", "sim"):
-            raise ParameterDomainError(f"unknown schedule {name!r}")
-        return kmarkets_strategy(schedule=name)
+        return kmarkets_strategy(schedule=text[len("ksched="):])
     raise ParameterDomainError(f"unknown strategy {text!r}")
 
 
 def _parse_n_list(text: str) -> list[int]:
     try:
-        return [int(tok) for tok in text.split(",") if tok.strip()]
+        ns = [int(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise ParameterDomainError(f"bad sample-size list {text!r}") from None
+    return _check_n_list(ns)
 
 
 def _parse_bits(text: str, m: int) -> tuple[int, ...]:
@@ -132,6 +131,22 @@ def _parse_bits(text: str, m: int) -> tuple[int, ...]:
     return bits
 
 
+def _alpha_pair(args) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """--alpha and --alpha2, defaulting to all zeros and every eighth bin set."""
+    alpha = _parse_bits(args.alpha, args.m) if args.alpha else (0,) * args.m
+    if args.alpha2:
+        return alpha, _parse_bits(args.alpha2, args.m)
+    return alpha, tuple(1 if i % 8 == 0 else 0 for i in range(args.m))
+
+
+def _add_alpha_pair_args(p) -> None:
+    p.add_argument("--m", type=int, required=True)
+    p.add_argument("--a", type=float, required=True)
+    p.add_argument("--alpha")
+    p.add_argument("--alpha2")
+    _add_quad_args(p)
+
+
 def _add_family_args(p) -> None:
     p.add_argument("--family", required=True, choices=["uniform", "power", "perturbed", "packing"])
     p.add_argument("--a", type=float, help="perturbation amplitude")
@@ -139,6 +154,17 @@ def _add_family_args(p) -> None:
     p.add_argument("--x0", type=float, help="center of the covariate window (conditional perturbation)")
     p.add_argument("--m", type=int, help="number of covariate bins (packing)")
     p.add_argument("--alpha", help="bit string selecting perturbed bins (packing)")
+
+
+def _add_run_args(p) -> None:
+    """Family, sample sizes, replications, seed, output and pool flags."""
+    _add_family_args(p)
+    p.add_argument("--n", required=True, help="comma-separated sample sizes")
+    p.add_argument("--reps", type=int, required=True)
+    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--out")
+    p.add_argument("--workers", type=int, default=1)
+    _add_quad_args(p)
 
 
 def _build_family(args):
@@ -194,20 +220,11 @@ def _cmd_price(args) -> int:
     return 0
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_curve(args) -> int:
     spec = _build_family(args)
     strategy = _parse_strategy(args.strategy)
     ns = _parse_n_list(args.n)
-    points = _curve(spec, strategy, ns, args.reps, args.seed, _quad_config(args), "revenue", args.workers)
-    _emit_curve(points, args.out)
-    return 0
-
-
-def _cmd_welfare(args) -> int:
-    spec = _build_family(args)
-    strategy = _parse_strategy(args.strategy)
-    ns = _parse_n_list(args.n)
-    points = _curve(spec, strategy, ns, args.reps, args.seed, _quad_config(args), "welfare", args.workers)
+    points = _curve(spec, strategy, ns, args.reps, args.seed, _quad_config(args), args.kind, args.workers)
     _emit_curve(points, args.out)
     return 0
 
@@ -275,16 +292,8 @@ def _cmd_adv_hellinger(args) -> int:
     return 0
 
 
-def _default_pair(m: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    zeros = tuple(0 for _ in range(m))
-    spaced = tuple(1 if i % 8 == 0 else 0 for i in range(m))
-    return zeros, spaced
-
-
 def _cmd_adv_kl(args) -> int:
-    zeros, spaced = _default_pair(args.m)
-    alpha = _parse_bits(args.alpha, args.m) if args.alpha else zeros
-    alpha2 = _parse_bits(args.alpha2, args.m) if args.alpha2 else spaced
+    alpha, alpha2 = _alpha_pair(args)
     value = kl_divergence(
         Packing(m=args.m, a=args.a, alpha=alpha),
         Packing(m=args.m, a=args.a, alpha=alpha2),
@@ -295,9 +304,7 @@ def _cmd_adv_kl(args) -> int:
 
 
 def _cmd_adv_separation(args) -> int:
-    zeros, spaced = _default_pair(args.m)
-    alpha = _parse_bits(args.alpha, args.m) if args.alpha else zeros
-    alpha2 = _parse_bits(args.alpha2, args.m) if args.alpha2 else spaced
+    alpha, alpha2 = _alpha_pair(args)
     value = packing_price_separation(args.m, args.a, alpha, alpha2, args.grid, _quad_config(args))
     print(f"separation={_g17(value)}")
     return 0
@@ -330,25 +337,17 @@ def _build_parser() -> _Parser:
     p.add_argument("--no-header", action="store_true")
     p.set_defaults(func=_cmd_price)
 
-    for name, func, needs_strategy in (
-        ("simulate", _cmd_simulate, True),
-        ("welfare", _cmd_welfare, True),
-        ("pointwise", _cmd_pointwise, False),
-    ):
+    for name, kind in (("simulate", "revenue"), ("welfare", "welfare")):
         p = sub.add_parser(name, help=f"{name} deficiency curve")
-        _add_family_args(p)
-        if needs_strategy:
-            p.add_argument("--strategy", required=True)
-        else:
-            p.add_argument("--k", type=int, required=True)
-            p.add_argument("--at", type=float, required=True, help="covariate value to evaluate at")
-        p.add_argument("--n", required=True, help="comma-separated sample sizes")
-        p.add_argument("--reps", type=int, required=True)
-        p.add_argument("--seed", type=int, required=True)
-        p.add_argument("--out")
-        p.add_argument("--workers", type=int, default=1)
-        _add_quad_args(p)
-        p.set_defaults(func=func)
+        _add_run_args(p)
+        p.add_argument("--strategy", required=True)
+        p.set_defaults(func=_cmd_curve, kind=kind)
+
+    p = sub.add_parser("pointwise", help="pointwise deficiency curve")
+    _add_run_args(p)
+    p.add_argument("--k", type=int, required=True)
+    p.add_argument("--at", type=float, required=True, help="covariate value to evaluate at")
+    p.set_defaults(func=_cmd_pointwise)
 
     p = sub.add_parser("rates", help="fit a rate to a saved curve")
     p.add_argument("--curve", required=True)
@@ -356,14 +355,8 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_rates)
 
     p = sub.add_parser("crossing", help="where K-markets catches uniform pricing")
-    _add_family_args(p)
+    _add_run_args(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", required=True)
-    p.add_argument("--reps", type=int, required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out")
-    p.add_argument("--workers", type=int, default=1)
-    _add_quad_args(p)
     p.set_defaults(func=_cmd_crossing)
 
     adv = sub.add_parser("adversarial", help="lower-bound construction checks")
@@ -380,20 +373,12 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_adv_hellinger)
 
     p = advsub.add_parser("kl", help="KL between two packing laws")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--alpha")
-    p.add_argument("--alpha2")
-    _add_quad_args(p)
+    _add_alpha_pair_args(p)
     p.set_defaults(func=_cmd_adv_kl)
 
     p = advsub.add_parser("separation", help="optimal-policy L2 gap between packings")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--a", type=float, required=True)
-    p.add_argument("--alpha")
-    p.add_argument("--alpha2")
+    _add_alpha_pair_args(p)
     p.add_argument("--grid", type=int, default=1025)
-    _add_quad_args(p)
     p.set_defaults(func=_cmd_adv_separation)
 
     p = advsub.add_parser("lemma-c3", help="optimal-price interval of the perturbed marginal")

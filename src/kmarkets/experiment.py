@@ -10,8 +10,10 @@ optimal policy for K-markets.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 import numpy as np
@@ -19,9 +21,8 @@ import numpy as np
 from .families import DistributionSpec, ParameterDomainError, sample
 from .oracle import (
     DEFAULT_QUAD,
-    GRID_POINTS,
     QuadratureConfig,
-    _golden_max,
+    _scan_then_refine,
     expected_revenue,
     optimal_3pd_policy,
     optimal_uniform_price,
@@ -97,37 +98,54 @@ def _fit(strategy: Strategy, data):
     return pf
 
 
+def _revenue_gap(spec, pf, cfg, bench):
+    r = expected_revenue(spec, pf, cfg)
+    return bench - r, r
+
+
+def _welfare_gap(spec, pf, cfg, bench):
+    return abs(welfare(spec, pf, cfg) - bench), expected_revenue(spec, pf, cfg)
+
+
+def _pointwise_gap(spec, pf, cfg, bench, x0):
+    r = float(pointwise_revenue(spec, price_at(pf, x0), x0))
+    return bench - r, r
+
+
 def _rep_chunk(args):
-    spec, strategy, n, seeds, cfg, kind, bench, x0 = args
+    """(deficiencies, revenues) of the replications with the given seeds.
+
+    metric(spec, pf, cfg, bench) -> (deficiency, revenue) is a module-level
+    function (or a partial of one), so chunks pickle for the process pool.
+    """
+    spec, strategy, n, seeds, cfg, metric, bench = args
     defs = np.empty(len(seeds))
     revs = np.empty(len(seeds))
     for i, seed in enumerate(seeds):
-        data = sample(spec, n, seed)
-        pf = _fit(strategy, data)
-        if kind == "revenue":
-            r = expected_revenue(spec, pf, cfg)
-            defs[i] = bench - r
-            revs[i] = r
-        elif kind == "welfare":
-            defs[i] = abs(welfare(spec, pf, cfg) - bench)
-            revs[i] = expected_revenue(spec, pf, cfg)
-        else:  # pointwise
-            r = float(pointwise_revenue(spec, price_at(pf, x0), x0))
-            defs[i] = bench - r
-            revs[i] = r
+        data = sample(spec, n, seed)  # kept alive through the metric: see below
+        defs[i], revs[i] = metric(spec, _fit(strategy, data), cfg, bench)
     return defs, revs
 
 
-def _run_reps(spec, strategy, n, reps, seed0, cfg, kind, bench, x0, workers):
+def _plan_chunks(reps: int, workers: int) -> list[np.ndarray]:
+    """Split replication indices into one chunk per worker process.
+
+    The worker count is capped at the machine's core count; empty chunks
+    are dropped, so there are never more chunks than replications.
+    """
+    count = min(workers, os.cpu_count() or 1)
+    return [c for c in np.array_split(np.arange(reps), count) if c.size]
+
+
+def _run_reps(spec, strategy, n, reps, seed0, cfg, metric, bench, workers):
     if reps < 1:
         raise ParameterDomainError("need at least one replication")
-    seeds = [seed0 + j for j in range(reps)]
-    if workers <= 1:
-        return _rep_chunk((spec, strategy, n, seeds, cfg, kind, bench, x0))
-    chunks = [c for c in np.array_split(np.arange(reps), workers) if c.size]
-    jobs = [
-        (spec, strategy, n, [seeds[j] for j in c], cfg, kind, bench, x0) for c in chunks
-    ]
+    if workers < 1:
+        raise ParameterDomainError("need at least one worker")
+    chunks = _plan_chunks(reps, workers)
+    jobs = [(spec, strategy, n, [seed0 + int(j) for j in c], cfg, metric, bench) for c in chunks]
+    if len(jobs) == 1:
+        return _rep_chunk(jobs[0])
     with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
         parts = list(pool.map(_rep_chunk, jobs))
     return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
@@ -159,6 +177,13 @@ def _welfare_benchmark(spec, strategy, cfg) -> float:
     return welfare(spec, optimal_3pd_policy(spec, cfg=cfg), cfg)
 
 
+# curve kind -> (benchmark of the strategy's own class, per-replication metric)
+_KINDS = {
+    "revenue": (_revenue_benchmark, _revenue_gap),
+    "welfare": (_welfare_benchmark, _welfare_gap),
+}
+
+
 def revenue_deficiency(
     spec: DistributionSpec,
     strategy: Strategy,
@@ -169,9 +194,7 @@ def revenue_deficiency(
     workers: int = 1,
 ) -> DeficiencyPoint:
     """Mean revenue shortfall of the fitted strategy at sample size n."""
-    bench = _revenue_benchmark(spec, strategy, cfg)
-    defs, revs = _run_reps(spec, strategy, n, reps, base_seed, cfg, "revenue", bench, None, workers)
-    return _point(n, strategy, defs, revs)
+    return _curve(spec, strategy, [n], reps, base_seed, cfg, "revenue", workers)[0]
 
 
 def welfare_deficiency(
@@ -184,9 +207,7 @@ def welfare_deficiency(
     workers: int = 1,
 ) -> DeficiencyPoint:
     """Mean absolute welfare gap to the strategy's own optimal policy."""
-    bench = _welfare_benchmark(spec, strategy, cfg)
-    defs, revs = _run_reps(spec, strategy, n, reps, base_seed, cfg, "welfare", bench, None, workers)
-    return _point(n, strategy, defs, revs)
+    return _curve(spec, strategy, [n], reps, base_seed, cfg, "welfare", workers)[0]
 
 
 def pointwise_deficiency(
@@ -203,15 +224,11 @@ def pointwise_deficiency(
     if not 0.0 <= x0 <= 1.0:
         raise ParameterDomainError("x0 must lie in [0, 1]")
     strategy = kmarkets_strategy(k=k)
-    ys = np.linspace(0.0, 1.0, GRID_POINTS)
-    rev = pointwise_revenue(spec, ys, np.full_like(ys, x0))
-    i = int(np.argmax(rev))
-    lo, hi = ys[max(i - 1, 0)], ys[min(i + 1, GRID_POINTS - 1)]
-    _, r_ref = _golden_max(
-        lambda q: pointwise_revenue(spec, q, np.full_like(q, x0)), lo, hi, cfg.refine_tol
+    _, best = _scan_then_refine(
+        lambda q: pointwise_revenue(spec, q, np.full_like(q, x0)), cfg.refine_tol
     )
-    bench = max(float(r_ref[0]), float(rev[i]))
-    defs, revs = _run_reps(spec, strategy, n, reps, base_seed, cfg, "pointwise", bench, x0, workers)
+    metric = partial(_pointwise_gap, x0=x0)
+    defs, revs = _run_reps(spec, strategy, n, reps, base_seed, cfg, metric, float(best[0]), workers)
     return _point(n, strategy, defs, revs)
 
 
@@ -223,15 +240,12 @@ def _check_n_list(n_list) -> list[int]:
 
 
 def _curve(spec, strategy, ns, reps, base_seed, cfg, kind, workers):
-    bench = (
-        _welfare_benchmark(spec, strategy, cfg)
-        if kind == "welfare"
-        else _revenue_benchmark(spec, strategy, cfg)
-    )
+    benchmark, metric = _KINDS[kind]
+    bench = benchmark(spec, strategy, cfg)
     points = []
     for i, n in enumerate(ns):
         defs, revs = _run_reps(
-            spec, strategy, n, reps, base_seed + i * SEED_STRIDE, cfg, kind, bench, None, workers
+            spec, strategy, n, reps, base_seed + i * SEED_STRIDE, cfg, metric, bench, workers
         )
         points.append(_point(n, strategy, defs, revs))
     return points
@@ -251,7 +265,7 @@ def deficiency_curve(
     ns = _check_n_list(n_list)
     if len(ns) < 3:
         raise ParameterDomainError("a curve needs at least 3 sample sizes")
-    if kind not in ("revenue", "welfare"):
+    if kind not in _KINDS:
         raise ParameterDomainError("curve kind must be 'revenue' or 'welfare'")
     return _curve(spec, strategy, ns, reps, base_seed, cfg, kind, workers)
 

@@ -9,6 +9,7 @@ normalized to [0, 1].  A degenerate range maps everyone to 0.5.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -51,8 +52,10 @@ def _normalize(values: np.ndarray) -> np.ndarray:
 def ingest(path, has_header: bool = True) -> tuple[Dataset, IngestReport]:
     """Read an auction CSV and return per-bidder (valuation, covariate) data.
 
-    Raises IngestError on a missing column, a non-numeric or negative bid or
-    rating (reported with its line number), or when no usable rows remain.
+    Raises IngestError on a missing column, on a non-numeric, non-finite or
+    negative bid or a non-numeric or non-finite rating (reported with its
+    line number), or when no usable rows remain.  Negative ratings are
+    legitimate feedback scores and are kept.
     """
     rows: list[BidRecord] = []
     with open(Path(path), newline="") as fh:
@@ -81,8 +84,10 @@ def ingest(path, has_header: bool = True) -> tuple[Dataset, IngestReport]:
                 rating = float(row[col_idx["bidder_rating"]])
             except ValueError:
                 raise IngestError(f"line {line_no}: non-numeric bid or rating") from None
-            if bid < 0.0:
-                raise IngestError(f"line {line_no}: negative bid")
+            if not 0.0 <= bid < math.inf:
+                raise IngestError(f"line {line_no}: {'negative' if bid < 0.0 else 'non-finite'} bid")
+            if not -math.inf < rating < math.inf:
+                raise IngestError(f"line {line_no}: non-finite rating")
             rows.append(
                 BidRecord(
                     auction_id=row[col_idx["auction_id"]].strip(),

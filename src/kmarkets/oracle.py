@@ -13,19 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import (
-    _HAT_FAMILIES,
-    _hat_edges,
-    _hat_scale,
-    _simpson_weights,
-    DistributionSpec,
-    ParameterDomainError,
-    PerturbedUniform,
-    PowerSimulated,
-    UniformJoint,
-    phi_y,
-)
-from .pricing import Constant, KMarkets, PricingFunction, price_at
+from .families import _simpson_weights, DistributionSpec, ParameterDomainError
+from .pricing import KMarkets, PricingFunction, price_at
 
 GRID_POINTS = 4097  # scan grid for all price maximizations
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -77,14 +66,10 @@ def pointwise_revenue(spec: DistributionSpec, y, x):
     return y * (1.0 - spec.conditional_cdf(y, x))
 
 
-_X_INDEPENDENT = (UniformJoint, PerturbedUniform)
-
-
 def marginal_y_cdf(spec: DistributionSpec, p, cfg: QuadratureConfig = DEFAULT_QUAD):
     """Valuation marginal F_Y(p), integrating the conditional CDF over x."""
     p = np.asarray(p, dtype=float)
-    if isinstance(spec, _X_INDEPENDENT):
-        # The conditional law does not depend on x, so the x-average is free.
+    if spec.x_independent:  # the x-average is free
         return spec.conditional_cdf(p, 0.5)
     w = _simpson_weights(cfg.x_panels)
     xs = np.linspace(0.0, 1.0, cfg.x_panels + 1)
@@ -122,25 +107,34 @@ def _golden_max(f, lo, hi, tol):
     return np.where(best, c, d), np.maximum(fc, fd)
 
 
+def _scan_then_refine(f, tol):
+    """Maximize f over prices in [0, 1], one maximization per batch column.
+
+    f maps prices of shape (GRID_POINTS, 1) to revenues of shape
+    (GRID_POINTS, m) for the grid scan, and prices of shape (m,) to
+    revenues of shape (m,) for the golden-section refinement of the bracket
+    around the best grid point.  Returns (prices, revenues), each (m,).
+    The grid point is kept unless refinement strictly improves on it: near
+    a flat maximum the refined revenue ties in floats and the grid abscissa
+    (often an exact value like 1/2) is the better answer.
+    """
+    ys = np.linspace(0.0, 1.0, GRID_POINTS)
+    rev = f(ys[:, None])
+    i = np.argmax(rev, axis=0)
+    lo = ys[np.maximum(i - 1, 0)]
+    hi = ys[np.minimum(i + 1, GRID_POINTS - 1)]
+    p_ref, r_ref = _golden_max(f, lo, hi, tol)
+    grid_rev = rev[i, np.arange(rev.shape[1])]
+    better = r_ref > grid_rev
+    return np.where(better, p_ref, ys[i]), np.where(better, r_ref, grid_rev)
+
+
 def optimal_uniform_price(
     spec: DistributionSpec, cfg: QuadratureConfig = DEFAULT_QUAD
 ) -> tuple[float, float]:
     """Best single posted price and its expected revenue."""
-    ps = np.linspace(0.0, 1.0, GRID_POINTS)
-    rev = ps * (1.0 - marginal_y_cdf(spec, ps, cfg))
-    i = int(np.argmax(rev))
-    lo, hi = ps[max(i - 1, 0)], ps[min(i + 1, GRID_POINTS - 1)]
-
-    def objective(q):
-        return q * (1.0 - marginal_y_cdf(spec, q, cfg))
-
-    p_ref, r_ref = _golden_max(objective, lo, hi, cfg.refine_tol)
-    # Keep the grid point unless refinement strictly improves on it; near a
-    # flat maximum the refined revenue ties in floats and the grid abscissa
-    # (often an exact value like 1/2) is the better answer.
-    if r_ref[0] > rev[i]:
-        return float(p_ref[0]), float(r_ref[0])
-    return float(ps[i]), float(rev[i])
+    p, r = _scan_then_refine(lambda q: q * (1.0 - marginal_y_cdf(spec, q, cfg)), cfg.refine_tol)
+    return float(p[0]), float(r[0])
 
 
 def optimal_3pd_policy(
@@ -152,14 +146,7 @@ def optimal_3pd_policy(
     if x_grid_size < 2:
         raise ParameterDomainError("x_grid_size must be at least 2")
     xs = np.linspace(0.0, 1.0, x_grid_size)
-    ys = np.linspace(0.0, 1.0, GRID_POINTS)
-    rev = pointwise_revenue(spec, ys[:, None], xs[None, :])
-    i = np.argmax(rev, axis=0)
-    lo = ys[np.maximum(i - 1, 0)]
-    hi = ys[np.minimum(i + 1, GRID_POINTS - 1)]
-    p_ref, r_ref = _golden_max(lambda q: pointwise_revenue(spec, q, xs), lo, hi, cfg.refine_tol)
-    grid_rev = rev[i, np.arange(x_grid_size)]
-    prices = np.where(r_ref > grid_rev, p_ref, ys[i])
+    prices, _ = _scan_then_refine(lambda q: pointwise_revenue(spec, q, xs), cfg.refine_tol)
     return TabulatedPolicy(x_grid=xs, prices=prices)
 
 
@@ -197,36 +184,8 @@ def expected_revenue(
 
 
 def partial_expectation(spec: DistributionSpec, p, x):
-    """E[Y 1{Y >= p} | X = x], the social value served at price p.
-
-    Exact per family: closed form for the power law, segmentwise cubic
-    integration for the piecewise-linear perturbations.
-    """
-    p, x = np.broadcast_arrays(np.asarray(p, float), np.asarray(x, float))
-    base = 0.5 * (1.0 - p * p)
-    if isinstance(spec, UniformJoint):
-        return base.copy() if base.ndim else float(base)
-    if isinstance(spec, PowerSimulated):
-        out = (x + 1.0) / (x + 2.0) * (1.0 - p ** (x + 2.0))
-        return out if out.ndim else float(out)
-    if isinstance(spec, _HAT_FAMILIES):
-        s = _hat_scale(spec)
-        edges = _hat_edges(s)
-        tail = np.zeros_like(p)
-        for k in range(5):
-            l, r = edges[k], edges[k + 1]
-            if r <= l:
-                continue
-            phi_l = phi_y((l - 0.5) / s)
-            slope = (phi_y((r - 0.5) / s) - phi_l) / (r - l)
-            a = np.clip(p, l, r)
-            # int_a^r y * (phi_l + slope*(y - l)) dy, elementwise in a
-            sq = 0.5 * (r * r - a * a)
-            cu = (r**3 - a**3) / 3.0
-            tail += phi_l * sq + slope * (cu - l * sq)
-        out = base + spec._coef(x) * tail
-        return out if out.ndim else float(out)
-    raise ParameterDomainError(f"unsupported distribution spec: {type(spec).__name__}")
+    """E[Y 1{Y >= p} | X = x], the social value served at price p."""
+    return spec.partial_expectation(p, x)
 
 
 def welfare(
