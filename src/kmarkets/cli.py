@@ -23,15 +23,15 @@ from .adversarial import (
     packing_price_separation,
 )
 from .experiment import (
-    SEED_STRIDE,
+    _KINDS,
     DeficiencyPoint,
     Strategy,
     _check_n_list,
     _curve,
+    _pointwise_kind,
     crossing_scan,
     fit_rate,
     kmarkets_strategy,
-    pointwise_deficiency,
     uniform_strategy,
 )
 from .families import (
@@ -184,9 +184,9 @@ def _build_family(args):
 
 
 def _quad_config(args) -> QuadratureConfig:
-    y_panels = getattr(args, "quad_y", None) or DEFAULT_QUAD.y_panels
-    x_panels = getattr(args, "quad_x", None) or DEFAULT_QUAD.x_panels
-    return QuadratureConfig(y_panels=y_panels, x_panels=x_panels)
+    return QuadratureConfig(
+        y_panels=args.quad_y or DEFAULT_QUAD.y_panels, x_panels=args.quad_x or DEFAULT_QUAD.x_panels
+    )
 
 
 def _add_quad_args(p) -> None:
@@ -232,13 +232,9 @@ def _cmd_curve(args) -> int:
 def _cmd_pointwise(args) -> int:
     spec = _build_family(args)
     cfg = _quad_config(args)
-    points = []
-    for i, n in enumerate(_parse_n_list(args.n)):
-        points.append(
-            pointwise_deficiency(
-                spec, n, args.k, args.at, args.reps, args.seed + i * SEED_STRIDE, cfg, args.workers
-            )
-        )
+    ns = _parse_n_list(args.n)
+    kind = _pointwise_kind(args.at)
+    points = _curve(spec, kmarkets_strategy(k=args.k), ns, args.reps, args.seed, cfg, kind, args.workers)
     _emit_curve(points, args.out)
     return 0
 
@@ -341,7 +337,7 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=f"{name} deficiency curve")
         _add_run_args(p)
         p.add_argument("--strategy", required=True)
-        p.set_defaults(func=_cmd_curve, kind=kind)
+        p.set_defaults(func=_cmd_curve, kind=_KINDS[kind])
 
     p = sub.add_parser("pointwise", help="pointwise deficiency curve")
     _add_run_args(p)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional, Sequence
@@ -122,7 +123,7 @@ def _rep_chunk(args):
     defs = np.empty(len(seeds))
     revs = np.empty(len(seeds))
     for i, seed in enumerate(seeds):
-        data = sample(spec, n, seed)  # kept alive through the metric: see below
+        data = sample(spec, n, seed)
         defs[i], revs[i] = metric(spec, _fit(strategy, data), cfg, bench)
     return defs, revs
 
@@ -135,20 +136,6 @@ def _plan_chunks(reps: int, workers: int) -> list[np.ndarray]:
     """
     count = min(workers, os.cpu_count() or 1)
     return [c for c in np.array_split(np.arange(reps), count) if c.size]
-
-
-def _run_reps(spec, strategy, n, reps, seed0, cfg, metric, bench, workers):
-    if reps < 1:
-        raise ParameterDomainError("need at least one replication")
-    if workers < 1:
-        raise ParameterDomainError("need at least one worker")
-    chunks = _plan_chunks(reps, workers)
-    jobs = [(spec, strategy, n, [seed0 + int(j) for j in c], cfg, metric, bench) for c in chunks]
-    if len(jobs) == 1:
-        return _rep_chunk(jobs[0])
-    with ProcessPoolExecutor(max_workers=len(jobs)) as pool:
-        parts = list(pool.map(_rep_chunk, jobs))
-    return np.concatenate([p[0] for p in parts]), np.concatenate([p[1] for p in parts])
 
 
 def _point(n, strategy, defs, revs) -> DeficiencyPoint:
@@ -184,6 +171,20 @@ _KINDS = {
 }
 
 
+def _pointwise_kind(x0: float):
+    """(benchmark, metric) of the revenue shortfall at the covariate value x0."""
+    if not 0.0 <= x0 <= 1.0:
+        raise ParameterDomainError("x0 must lie in [0, 1]")
+
+    def benchmark(spec, strategy, cfg):
+        _, best = _scan_then_refine(
+            lambda q: pointwise_revenue(spec, q, np.full_like(q, x0)), cfg.refine_tol
+        )
+        return float(best[0])
+
+    return benchmark, partial(_pointwise_gap, x0=x0)
+
+
 def revenue_deficiency(
     spec: DistributionSpec,
     strategy: Strategy,
@@ -194,7 +195,7 @@ def revenue_deficiency(
     workers: int = 1,
 ) -> DeficiencyPoint:
     """Mean revenue shortfall of the fitted strategy at sample size n."""
-    return _curve(spec, strategy, [n], reps, base_seed, cfg, "revenue", workers)[0]
+    return _curve(spec, strategy, [n], reps, base_seed, cfg, _KINDS["revenue"], workers)[0]
 
 
 def welfare_deficiency(
@@ -207,7 +208,7 @@ def welfare_deficiency(
     workers: int = 1,
 ) -> DeficiencyPoint:
     """Mean absolute welfare gap to the strategy's own optimal policy."""
-    return _curve(spec, strategy, [n], reps, base_seed, cfg, "welfare", workers)[0]
+    return _curve(spec, strategy, [n], reps, base_seed, cfg, _KINDS["welfare"], workers)[0]
 
 
 def pointwise_deficiency(
@@ -221,15 +222,8 @@ def pointwise_deficiency(
     workers: int = 1,
 ) -> DeficiencyPoint:
     """Revenue shortfall of the K-markets price at a single covariate value."""
-    if not 0.0 <= x0 <= 1.0:
-        raise ParameterDomainError("x0 must lie in [0, 1]")
-    strategy = kmarkets_strategy(k=k)
-    _, best = _scan_then_refine(
-        lambda q: pointwise_revenue(spec, q, np.full_like(q, x0)), cfg.refine_tol
-    )
-    metric = partial(_pointwise_gap, x0=x0)
-    defs, revs = _run_reps(spec, strategy, n, reps, base_seed, cfg, metric, float(best[0]), workers)
-    return _point(n, strategy, defs, revs)
+    kind = _pointwise_kind(x0)
+    return _curve(spec, kmarkets_strategy(k=k), [n], reps, base_seed, cfg, kind, workers)[0]
 
 
 def _check_n_list(n_list) -> list[int]:
@@ -240,14 +234,28 @@ def _check_n_list(n_list) -> list[int]:
 
 
 def _curve(spec, strategy, ns, reps, base_seed, cfg, kind, workers):
-    benchmark, metric = _KINDS[kind]
+    """One point per sample size; point i uses seeds base_seed + i*2^32 + j.
+
+    kind is a (benchmark, metric) pair.  The benchmark and the chunk plan are
+    made once per curve; with more than one chunk, one pool serves every size.
+    """
+    if reps < 1:
+        raise ParameterDomainError("need at least one replication")
+    if workers < 1:
+        raise ParameterDomainError("need at least one worker")
+    benchmark, metric = kind
     bench = benchmark(spec, strategy, cfg)
+    chunks = _plan_chunks(reps, workers)
     points = []
-    for i, n in enumerate(ns):
-        defs, revs = _run_reps(
-            spec, strategy, n, reps, base_seed + i * SEED_STRIDE, cfg, metric, bench, workers
-        )
-        points.append(_point(n, strategy, defs, revs))
+    with ExitStack() as stack:
+        run = map
+        if len(chunks) > 1:
+            run = stack.enter_context(ProcessPoolExecutor(max_workers=len(chunks))).map
+        for i, n in enumerate(ns):
+            seed0 = base_seed + i * SEED_STRIDE
+            jobs = [(spec, strategy, n, [seed0 + int(j) for j in c], cfg, metric, bench) for c in chunks]
+            defs, revs = (np.concatenate(part) for part in zip(*run(_rep_chunk, jobs)))
+            points.append(_point(n, strategy, defs, revs))
     return points
 
 
@@ -267,7 +275,7 @@ def deficiency_curve(
         raise ParameterDomainError("a curve needs at least 3 sample sizes")
     if kind not in _KINDS:
         raise ParameterDomainError("curve kind must be 'revenue' or 'welfare'")
-    return _curve(spec, strategy, ns, reps, base_seed, cfg, kind, workers)
+    return _curve(spec, strategy, ns, reps, base_seed, cfg, _KINDS[kind], workers)
 
 
 def fit_rate(curve: Sequence[DeficiencyPoint]) -> RateFit:
@@ -312,8 +320,8 @@ def crossing_scan(
     mean uniform revenue, with both full curves attached.
     """
     ns = _check_n_list(n_list)
-    uni = _curve(spec, uniform_strategy(), ns, reps, base_seed, cfg, "revenue", workers)
-    km = _curve(spec, kmarkets_strategy(k=k), ns, reps, base_seed, cfg, "revenue", workers)
+    uni = _curve(spec, uniform_strategy(), ns, reps, base_seed, cfg, _KINDS["revenue"], workers)
+    km = _curve(spec, kmarkets_strategy(k=k), ns, reps, base_seed, cfg, _KINDS["revenue"], workers)
     n_crossing = None
     for pu, pk in zip(uni, km):
         if pk.mean_revenue >= pu.mean_revenue:

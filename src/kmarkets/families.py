@@ -78,7 +78,8 @@ def phi_x(t):
         mask = (t > lo) & (t < hi)
         if np.any(mask):
             z = 4.0 * t[mask] - (4.0 * lo + 1.0)
-            out[mask] = sign * np.exp(-z * z / (1.0 - z * z))
+            with np.errstate(divide="ignore"):  # 1 - z*z rounds to 0 at a lobe edge; exp(-inf) = 0
+                out[mask] = sign * np.exp(-z * z / (1.0 - z * z))
     return float(out[0]) if scalar else out
 
 

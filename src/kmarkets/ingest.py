@@ -57,7 +57,8 @@ def ingest(path, has_header: bool = True) -> tuple[Dataset, IngestReport]:
     line number), or when no usable rows remain.  Negative ratings are
     legitimate feedback scores and are kept.
     """
-    rows: list[BidRecord] = []
+    best: dict[str, tuple[float, float]] = {}  # bidder -> (highest bid, rating of that row)
+    rows_read = 0
     with open(Path(path), newline="") as fh:
         reader = csv.reader(fh)
         col_idx = {name: i for i, name in enumerate(COLUMNS)}
@@ -88,28 +89,19 @@ def ingest(path, has_header: bool = True) -> tuple[Dataset, IngestReport]:
                 raise IngestError(f"line {line_no}: {'negative' if bid < 0.0 else 'non-finite'} bid")
             if not -math.inf < rating < math.inf:
                 raise IngestError(f"line {line_no}: non-finite rating")
-            rows.append(
-                BidRecord(
-                    auction_id=row[col_idx["auction_id"]].strip(),
-                    bid=bid,
-                    bidder_id=row[col_idx["bidder_id"]].strip(),
-                    bidder_rating=rating,
-                )
-            )
-    if not rows:
+            rows_read += 1
+            bidder = row[col_idx["bidder_id"]].strip()
+            prev = best.get(bidder)
+            if prev is None or bid > prev[0]:
+                best[bidder] = (bid, rating)  # an update keeps the bidder's first-appearance slot
+    if not rows_read:
         raise IngestError("no usable rows in input")
-    best: dict[str, BidRecord] = {}
-    for rec in rows:
-        prev = best.get(rec.bidder_id)
-        if prev is None or rec.bid > prev.bid:
-            best[rec.bidder_id] = rec
-    kept = list(best.values())  # insertion order: first appearance of each bidder
-    bids = np.array([r.bid for r in kept])
-    ratings = np.array([r.bidder_rating for r in kept])
+    bids = np.array([b for b, _ in best.values()])
+    ratings = np.array([r for _, r in best.values()])
     data = Dataset(y=_normalize(bids), x=_normalize(ratings))
     report = IngestReport(
-        rows_read=len(rows),
-        bidders_kept=len(kept),
+        rows_read=rows_read,
+        bidders_kept=len(best),
         y_min=float(bids.min()),
         y_max=float(bids.max()),
         x_min=float(ratings.min()),

@@ -49,9 +49,10 @@ class TabulatedPolicy:
         pr = np.asarray(self.prices, dtype=float)
         if xg.ndim != 1 or xg.shape != pr.shape or xg.size < 2:
             raise ParameterDomainError("x_grid and prices must be equal-length 1-d arrays")
-        if np.any(np.diff(xg) <= 0.0) or xg[0] < 0.0 or xg[-1] > 1.0:
+        # Written so that NaN, which diff, min and max propagate, fails the checks.
+        if not (np.all(np.diff(xg) > 0.0) and 0.0 <= xg[0] and xg[-1] <= 1.0):
             raise ParameterDomainError("x_grid must be strictly increasing within [0, 1]")
-        if pr.min() < 0.0 or pr.max() > 1.0:
+        if not (0.0 <= pr.min() and pr.max() <= 1.0):
             raise ParameterDomainError("prices must lie in [0, 1]")
         xg, pr = xg.copy(), pr.copy()
         xg.flags.writeable = False

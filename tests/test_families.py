@@ -1,5 +1,7 @@
 """Distribution families: closed forms, sampling, guards."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -16,6 +18,7 @@ from kmarkets import (
     conditional_cdf,
     conditional_density,
     marginal_x_density,
+    phi_x,
     sample,
     validate_density,
 )
@@ -255,3 +258,9 @@ def test_dataset_immutable_against_source():
     ds = Dataset(y=src.copy(), x=src.copy())
     src[0] = 0.9
     assert ds.y[0] == 0.1
+
+
+def test_phi_x_at_a_lobe_edge_is_zero_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert phi_x(1e-18) == 0.0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kmarkets import Dataset, IngestError, ParameterDomainError, UniformJoint, ingest
-from kmarkets import revenue_deficiency, uniform_strategy
+from kmarkets import TabulatedPolicy, revenue_deficiency, uniform_strategy
 from kmarkets.cli import main
 from kmarkets.experiment import _plan_chunks
 
@@ -76,3 +76,10 @@ def test_chunk_plan_is_capped_at_the_core_count():
         assert all(c.size for c in chunks)
         assert np.array_equal(np.concatenate(chunks), np.arange(reps))
     assert len(_plan_chunks(1000, 1)) == 1
+
+
+def test_tabulated_policy_rejects_nan():
+    with pytest.raises(ParameterDomainError, match="prices"):
+        TabulatedPolicy(x_grid=[0.0, 1.0], prices=[0.5, math.nan])
+    with pytest.raises(ParameterDomainError, match="x_grid"):
+        TabulatedPolicy(x_grid=[0.0, math.nan, 1.0], prices=[0.5, 0.5, 0.5])

@@ -1,15 +1,17 @@
-"""Property tests: inverse CDFs and the lowest-price ERM maximizer."""
+"""Property tests: inverse CDFs, the lowest-price ERM maximizer, row-order invariance."""
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kmarkets import (
+    Dataset,
     Packing,
     PerturbedConditional,
     PerturbedUniform,
     PowerSimulated,
     UniformJoint,
+    k_markets_erm,
     uniform_erm,
 )
 
@@ -56,3 +58,18 @@ def _brute_force_erm(values):
 @given(st.lists(st.one_of(unit, st.sampled_from((0.0, 0.25, 0.5, 1.0))), min_size=1, max_size=60))
 def test_uniform_erm_is_the_lowest_brute_force_maximizer(values):
     assert uniform_erm(np.array(values)) == _brute_force_erm(values)
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    st.lists(st.tuples(unit, unit), min_size=1, max_size=40).flatmap(
+        lambda rows: st.tuples(st.just(rows), st.permutations(rows))
+    ),
+    st.integers(1, 8),
+)
+def test_k_markets_erm_ignores_row_order(rows_and_shuffled, k):
+    rows, shuffled = rows_and_shuffled
+    pf, part = k_markets_erm(Dataset.from_points(rows), k)
+    pf2, part2 = k_markets_erm(Dataset.from_points(shuffled), k)
+    assert pf == pf2  # Constant or KMarkets, compared price by price
+    assert part.k_effective == part2.k_effective
