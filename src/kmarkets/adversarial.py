@@ -10,6 +10,7 @@ any strategy to pay for distinguishing them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -58,22 +59,20 @@ class SupportViolationError(ValueError):
     """Raised when a KL reference density vanishes on the integration grid."""
 
 
-def _simpson_2d(func, cfg: QuadratureConfig, x_chunk: int = 64):
+def _simpson_2d(func, cfg: QuadratureConfig, x_chunk: int = 64) -> float:
     """Iterated Simpson over the unit square, chunked in x to bound memory.
 
-    func(y, x) must broadcast; returns (integral, min value seen).
+    func(y, x) must broadcast.
     """
     ys = np.linspace(0.0, 1.0, cfg.y_panels + 1)
     wy = _simpson_weights(cfg.y_panels)
     xs = np.linspace(0.0, 1.0, cfg.x_panels + 1)
     wx = _simpson_weights(cfg.x_panels)
     total = 0.0
-    seen_min = math.inf
     for start in range(0, xs.size, x_chunk):
         vals = func(ys[:, None], xs[None, start : start + x_chunk])
-        seen_min = min(seen_min, float(vals.min()))
         total += float((wy @ vals) @ wx[start : start + x_chunk])
-    return total, seen_min
+    return total
 
 
 def hellinger_sq(
@@ -88,8 +87,7 @@ def hellinger_sq(
         root2 = np.sqrt(spec2.conditional_density(y, x))
         return (root1 - root2) ** 2
 
-    value, _ = _simpson_2d(integrand, cfg)
-    return max(value, 0.0)
+    return max(_simpson_2d(integrand, cfg), 0.0)
 
 
 def kl_divergence(
@@ -102,20 +100,22 @@ def kl_divergence(
     Errors out if spec2's density is not strictly positive somewhere on the
     integration grid, rather than returning an unreliable number.
     """
-    _, ref_min = _simpson_2d(lambda y, x: spec2.conditional_density(y, x), cfg)
-    if ref_min <= 0.0:
-        raise SupportViolationError(
-            f"reference density reaches {ref_min} on the integration grid"
-        )
+    ref_min = math.inf  # smallest spec2 density seen by the integration pass
 
     def integrand(y, x):
+        nonlocal ref_min
         f1 = spec1.conditional_density(y, x)
         f2 = spec2.conditional_density(y, x)
+        ref_min = min(ref_min, float(f2.min()))
         with np.errstate(divide="ignore", invalid="ignore"):
             term = f1 * np.log(f1 / f2)
         return np.where(f1 > 0.0, term, 0.0)
 
-    value, _ = _simpson_2d(integrand, cfg)
+    value = _simpson_2d(integrand, cfg)
+    if ref_min <= 0.0:
+        raise SupportViolationError(
+            f"reference density reaches {ref_min} on the integration grid"
+        )
     return value
 
 
@@ -163,39 +163,43 @@ class Codebook:
 
 
 def gilbert_varshamov(m: int) -> Codebook:
-    """Greedy lexicographic binary code with minimum distance ceil(m/8).
+    """Greedy lexicographic binary code (lexicode) with minimum distance ceil(m/8).
 
-    Scans all of {0,1}^m in lexicographic order and accepts a word whenever
-    it is at distance >= ceil(m/8) from everything accepted so far, which is
-    implemented by painting Hamming balls of radius ceil(m/8) - 1 around
-    accepted words on a coverage bitmap.  The volume bound guarantees at
-    least 2^ceil(m/8) codewords; all-zeros is always accepted first.
+    The greedy code that scans {0,1}^m in lexicographic order and accepts
+    every word at distance >= d = ceil(m/8) from all accepted words is
+    linear (Conway & Sloane, "Lexicographic codes: error-correcting codes
+    from game theory", IEEE Trans. Inf. Theory 1986), so it is built from
+    its basis: for each bit i from low to high, the smallest word w in
+    [2^i, 2^(i+1)) at distance >= d from the code so far, if any, doubles
+    the code to C | (w ^ C).  The volume bound guarantees at least
+    2^ceil(m/8) codewords; all-zeros is the first word.
     """
-    if not 8 <= m <= 24:
-        raise ParameterDomainError("m must lie in [8, 24] for exhaustive enumeration")
+    if not (isinstance(m, numbers.Integral) and 8 <= m <= 24):
+        raise ParameterDomainError("m must be an integer in [8, 24]")
     d = -(-m // 8)
-    size = 1 << m
-    masks = np.array(
-        [sum(1 << b for b in combo) for r in range(d) for combo in combinations(range(m), r)],
-        dtype=np.int64,
-    )
-    covered = np.zeros(size, dtype=bool)
-    accepted: list[int] = []
-    chunk = 1024
-    ptr = 0
-    while ptr < size:
-        window = covered[ptr : ptr + chunk]
-        rel = int(np.argmax(~window))
-        if window[rel]:
-            ptr += window.size  # window fully covered
-            continue
-        word = ptr + rel
-        accepted.append(word)
-        covered[np.bitwise_xor(word, masks)] = True
-        ptr = word + 1
-    ints = np.asarray(accepted, dtype=np.int64)
-    shifts = np.arange(m - 1, -1, -1, dtype=np.int64)
-    bits = ((ints[:, None] >> shifts[None, :]) & 1).astype(np.uint8)
+    in_code = np.zeros(1 << m, dtype=bool)
+    in_code[0] = True
+    code = np.zeros(1, dtype=np.int64)
+    chunk = 4096  # candidate words tested at once
+    for i in range(m):
+        lo = 1 << i
+        # w is at distance < d from the code (all of it below 2^i) exactly
+        # when w ^ mask is a codeword for a mask of weight < d whose top bit is i.
+        masks = lo | np.array(
+            [sum(1 << b for b in combo) for r in range(d - 1) for combo in combinations(range(i), r)],
+            dtype=np.int64,
+        )
+        for start in range(lo, 2 * lo, chunk):
+            cand = np.arange(start, min(start + chunk, 2 * lo), dtype=np.int64)
+            free = np.flatnonzero(~in_code[cand[:, None] ^ masks[None, :]].any(axis=1))
+            if free.size:
+                coset = code ^ cand[free[0]]
+                in_code[coset] = True
+                code = np.concatenate([code, coset])
+                break
+    code.sort()
+    # Each word as 4 big-endian bytes, unpacked MSB first; keep the low m bits.
+    bits = np.unpackbits(code.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)[:, 32 - m :]
     return Codebook(m=m, words=bits)
 
 
@@ -258,6 +262,8 @@ def concavity_margin(b: float, delta: float, grid_size: int = 10000) -> float:
     concavity means the returned value stays below -C*.
     """
     spec = PerturbedUniform(a=b, delta=delta)
+    if grid_size < 3:
+        raise ParameterDomainError("grid_size must be at least 3")
     ys = np.linspace(0.0, 1.0, grid_size)
     h = ys[1] - ys[0]
     rev = ys * (1.0 - marginal_y_cdf(spec, ys))
@@ -266,4 +272,8 @@ def concavity_margin(b: float, delta: float, grid_size: int = 10000) -> float:
     keep = np.ones_like(centers, dtype=bool)
     for kink in (0.5 - delta, 0.5, 0.5 + 2.0 * delta, 0.5 + 3.0 * delta):
         keep &= np.abs(centers - kink) > 2.0 * h
+    if not keep.any():
+        raise ParameterDomainError(
+            f"grid_size={grid_size} leaves no second difference clear of the density kinks"
+        )
     return float(second[keep].max())

@@ -210,12 +210,21 @@ class PowerSimulated(DistributionSpec):
 _HAT_T_SLOPES = np.array([0.0, 1.0, -1.0, 1.0, 0.0])  # phi_y slope per segment
 
 
+def _broadcast_to_args(vals, y, x):
+    # A fresh array of the broadcast shape of (y, x), or a float for scalars:
+    # a factor that ignores one argument (a scalar coef) leaves vals short.
+    shape = np.broadcast_shapes(y.shape, x.shape)
+    return vals if np.shape(vals) == shape else np.broadcast_to(vals, shape).copy()
+
+
 class _HatFamily(DistributionSpec):
     """f(y|x) = 1 + coef(x) * phi_y((y - 1/2) / scale), exact piecewise.
 
     Subclasses supply ``coef(x)`` and ``scale``.  The density is linear on
     each segment between ``y_knots``, which is what makes CDFs, inverse
-    CDFs, partial expectations and normalization checks exact.
+    CDFs, partial expectations and normalization checks exact.  Density and
+    CDF are separable: the y factor is evaluated on y's own shape and coef
+    on x's own shape, and only the final sum broadcasts.
     """
 
     @property
@@ -229,17 +238,13 @@ class _HatFamily(DistributionSpec):
         )
 
     def conditional_density(self, y, x):
-        y, x = np.broadcast_arrays(np.asarray(y, float), np.asarray(x, float))
-        # Holding coef until the sum is formed keeps the allocator's reuse
-        # pattern on 2-D quadrature chunks; freeing it early doubled the page
-        # faults of kl_divergence on packing laws and cost ~25% of its time.
-        coef = self.coef(x)
-        return 1.0 + coef * phi_y((y - 0.5) / self.scale)
+        y, x = np.asarray(y, float), np.asarray(x, float)
+        return _broadcast_to_args(1.0 + self.coef(x) * phi_y((y - 0.5) / self.scale), y, x)
 
     def conditional_cdf(self, y, x):
-        y, x = np.broadcast_arrays(np.asarray(y, float), np.asarray(x, float))
+        y, x = np.asarray(y, float), np.asarray(x, float)
         s = self.scale
-        return y + self.coef(x) * s * _phi_y_int((y - 0.5) / s)
+        return _broadcast_to_args(y + self.coef(x) * s * _phi_y_int((y - 0.5) / s), y, x)
 
     def ppf(self, u, x):
         u, x = np.broadcast_arrays(np.asarray(u, float), np.asarray(x, float))

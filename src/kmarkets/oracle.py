@@ -9,6 +9,7 @@ is r(y, x) = y * (1 - F(y|x)).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +29,8 @@ class QuadratureConfig:
 
     def __post_init__(self):
         for panels in (self.y_panels, self.x_panels):
-            if panels < 8 or panels % 2:
-                raise ParameterDomainError("panel counts must be even and >= 8")
+            if not isinstance(panels, numbers.Integral) or panels < 8 or panels % 2:
+                raise ParameterDomainError("panel counts must be even integers >= 8")
         if not self.refine_tol > 0.0:
             raise ParameterDomainError("refine_tol must be positive")
 

@@ -8,6 +8,7 @@ import pytest
 
 from kmarkets import Dataset, IngestError, ParameterDomainError, UniformJoint, ingest
 from kmarkets import TabulatedPolicy, revenue_deficiency, uniform_strategy
+from kmarkets import QuadratureConfig, concavity_margin, gilbert_varshamov
 from kmarkets.cli import main
 from kmarkets.experiment import _plan_chunks
 
@@ -83,3 +84,21 @@ def test_tabulated_policy_rejects_nan():
         TabulatedPolicy(x_grid=[0.0, 1.0], prices=[0.5, math.nan])
     with pytest.raises(ParameterDomainError, match="x_grid"):
         TabulatedPolicy(x_grid=[0.0, math.nan, 1.0], prices=[0.5, 0.5, 0.5])
+
+
+@pytest.mark.parametrize("m", [8.0, 8.5])
+def test_gilbert_varshamov_rejects_non_integer_length(m):
+    with pytest.raises(ParameterDomainError, match="integer"):
+        gilbert_varshamov(m)
+
+
+@pytest.mark.parametrize("panels", [{"y_panels": 8.0}, {"x_panels": 1e3}])
+def test_quadrature_config_rejects_non_integer_panels(panels):
+    with pytest.raises(ParameterDomainError, match="panel counts"):
+        QuadratureConfig(**panels)
+
+
+@pytest.mark.parametrize("grid_size", [2, 3])
+def test_concavity_margin_rejects_a_grid_with_no_usable_difference(grid_size):
+    with pytest.raises(ParameterDomainError, match="grid_size"):
+        concavity_margin(1.0, 0.05, grid_size=grid_size)
