@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 
 from .families import (
-    _simpson_weights,
+    _simpson_rule,
     DistributionSpec,
     Packing,
     ParameterDomainError,
@@ -64,13 +64,11 @@ def _simpson_2d(func, cfg: QuadratureConfig, x_chunk: int = 64) -> float:
 
     func(y, x) must broadcast.
     """
-    ys = np.linspace(0.0, 1.0, cfg.y_panels + 1)
-    wy = _simpson_weights(cfg.y_panels)
-    xs = np.linspace(0.0, 1.0, cfg.x_panels + 1)
-    wx = _simpson_weights(cfg.x_panels)
+    ys, wy = _simpson_rule(cfg.y_panels)
+    xs, wx = _simpson_rule(cfg.x_panels)
     total = 0.0
-    for start in range(0, xs.size, x_chunk):
-        vals = func(ys[:, None], xs[None, start : start + x_chunk])
+    for start in range(0, wx.size, x_chunk):
+        vals = func(ys.T, xs[:, start : start + x_chunk])
         total += float((wy @ vals) @ wx[start : start + x_chunk])
     return total
 

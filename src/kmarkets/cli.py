@@ -45,7 +45,7 @@ from .families import (
 )
 from .ingest import IngestError, ingest
 from .oracle import DEFAULT_QUAD, QuadratureConfig
-from .pricing import Constant, k_markets_erm
+from .pricing import k_markets_erm
 
 CURVE_COLUMNS = ("n", "strategy", "mean_deficiency", "std_error", "reps", "mean_revenue")
 
@@ -184,14 +184,12 @@ def _build_family(args):
 
 
 def _quad_config(args) -> QuadratureConfig:
-    return QuadratureConfig(
-        y_panels=args.quad_y or DEFAULT_QUAD.y_panels, x_panels=args.quad_x or DEFAULT_QUAD.x_panels
-    )
+    return QuadratureConfig(y_panels=args.quad_y, x_panels=args.quad_x)
 
 
 def _add_quad_args(p) -> None:
-    p.add_argument("--quad-y", type=int, dest="quad_y", help="Simpson panels in y")
-    p.add_argument("--quad-x", type=int, dest="quad_x", help="Simpson panels in x")
+    p.add_argument("--quad-y", type=int, default=DEFAULT_QUAD.y_panels, help="Simpson panels in y")
+    p.add_argument("--quad-x", type=int, default=DEFAULT_QUAD.x_panels, help="Simpson panels in x")
 
 
 def _emit_curve(points, out_path) -> None:
@@ -210,9 +208,8 @@ def _cmd_price(args) -> int:
     print(f"bid_range=[{_g17(report.y_min)}, {_g17(report.y_max)}]")
     print(f"rating_range=[{_g17(report.x_min)}, {_g17(report.x_max)}]")
     print(f"k_requested={partition.k_requested} k_effective={partition.k_effective}")
-    prices = [pf.p] if isinstance(pf, Constant) else list(pf.prices)
-    k = len(prices)
-    for i, price in enumerate(prices):
+    k = pf.k
+    for i, price in enumerate(pf.prices):
         lo, hi = i / k, (i + 1) / k
         closer = "]" if i == k - 1 else ")"
         n_i = partition.markets[i].size

@@ -16,6 +16,8 @@ own facts; the oracles and checks only call its methods.
 
 from __future__ import annotations
 
+import functools
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -202,9 +204,9 @@ class PowerSimulated(DistributionSpec):
     def normalization(self, xs):
         # Simpson under the substitution y = v^2, which tames the y^x endpoint:
         # int_0^1 (x+1) y^x dy = int_0^1 2 (x+1) v^(2x+1) dv
-        vs = np.linspace(0.0, 1.0, 4097)
-        vals = 2.0 * (xs[None, :] + 1.0) * vs[:, None] ** (2.0 * xs[None, :] + 1.0)
-        return _simpson_weights(4096) @ vals
+        vs, w = _simpson_rule(4096)
+        vals = 2.0 * (xs[None, :] + 1.0) * vs.T ** (2.0 * xs[None, :] + 1.0)
+        return w @ vals
 
 
 _HAT_T_SLOPES = np.array([0.0, 1.0, -1.0, 1.0, 0.0])  # phi_y slope per segment
@@ -384,7 +386,7 @@ class Packing(_HatFamily):
     alpha: tuple[int, ...]
 
     def __post_init__(self):
-        if int(self.m) != self.m or self.m < 8:
+        if not (isinstance(self.m, numbers.Integral) and self.m >= 8):
             raise ParameterDomainError("m must be an integer >= 8")
         object.__setattr__(self, "m", int(self.m))
         _check_amplitude(self.a, signed=False)
@@ -458,11 +460,18 @@ def validate_density(spec: DistributionSpec, x_grid_size: int = 101) -> DensityR
     )
 
 
-def _simpson_weights(panels: int) -> np.ndarray:
-    # Composite Simpson weights on [0, 1] with the given (even) panel count.
-    if panels < 2 or panels % 2:
-        raise ParameterDomainError("panel count must be even and >= 2")
-    w = np.ones(panels + 1)
+@functools.lru_cache(maxsize=64)
+def _simpson_rule(panels: int, k: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """Shared read-only composite Simpson (nodes, weights) on [0, 1] cut into k equal markets.
+
+    Row i of the (k, m + 1) nodes spans [i/k, (i+1)/k] with m = max(8, ceil(panels / k))
+    panels rounded up to even; the integral of g is (g(nodes) @ weights).sum() / k.
+    """
+    m = 2 * max(4, -(-panels // (2 * k)))  # ceil(ceil(panels/k) / 2) == ceil(panels / 2k)
+    nodes = (np.arange(k)[:, None] + np.linspace(0.0, 1.0, m + 1)) / k
+    w = np.ones(m + 1)
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
-    return w / (3.0 * panels)
+    w /= 3.0 * m
+    nodes.flags.writeable = w.flags.writeable = False
+    return nodes, w

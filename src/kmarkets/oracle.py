@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import _simpson_weights, DistributionSpec, ParameterDomainError
-from .pricing import KMarkets, PricingFunction, price_at
+from .families import _simpson_rule, DistributionSpec, ParameterDomainError
+from .pricing import PricingFunction, price_at
 
 GRID_POINTS = 4097  # scan grid for all price maximizations
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
@@ -73,10 +73,9 @@ def marginal_y_cdf(spec: DistributionSpec, p, cfg: QuadratureConfig = DEFAULT_QU
     p = np.asarray(p, dtype=float)
     if spec.x_independent:  # the x-average is free
         return spec.conditional_cdf(p, 0.5)
-    w = _simpson_weights(cfg.x_panels)
-    xs = np.linspace(0.0, 1.0, cfg.x_panels + 1)
+    xs, w = _simpson_rule(cfg.x_panels)
     flat = p.reshape(-1)
-    vals = spec.conditional_cdf(flat[:, None], xs[None, :]) @ w
+    vals = spec.conditional_cdf(flat[:, None], xs) @ w
     return vals.reshape(p.shape) if p.ndim else float(vals[0])
 
 
@@ -152,28 +151,19 @@ def optimal_3pd_policy(
     return TabulatedPolicy(x_grid=xs, prices=prices)
 
 
-def _policy_prices_at(pf, xs):
-    return np.atleast_1d(np.asarray(price_at(pf, xs), dtype=float))
-
-
 def _integrate_policy(spec, pf, cfg, integrand):
     """Simpson-integrate integrand(prices, xs) against the covariate law.
 
-    Step policies are integrated bin by bin so the price discontinuities
-    always land on panel boundaries.
+    A step rule (a Constant is one market) is integrated market by market, so its
+    price steps land on panel boundaries; a tabulated policy is one market.
     """
-    if isinstance(pf, KMarkets):
-        panels = max(8, -(-cfg.x_panels // pf.k))
-        panels += panels % 2
-        w = _simpson_weights(panels)
-        t = np.linspace(0.0, 1.0, panels + 1)
-        nodes = (np.arange(pf.k)[:, None] + t[None, :]) / pf.k
+    if isinstance(pf, PricingFunction):
+        nodes, w = _simpson_rule(cfg.x_panels, pf.k)
         prices = np.asarray(pf.prices, dtype=float)[:, None]
-        vals = integrand(prices, nodes)
-        return float((vals @ w).sum() / pf.k)
-    xs = np.linspace(0.0, 1.0, cfg.x_panels + 1)
-    w = _simpson_weights(cfg.x_panels)
-    return float(integrand(_policy_prices_at(pf, xs), xs) @ w)
+    else:
+        nodes, w = _simpson_rule(cfg.x_panels)
+        prices = price_at(pf, nodes)
+    return float((integrand(prices, nodes) @ w).sum() / nodes.shape[0])
 
 
 def expected_revenue(

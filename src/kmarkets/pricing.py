@@ -20,13 +20,18 @@ from .families import Dataset, EmptyDataError, ParameterDomainError
 
 @dataclass(frozen=True)
 class Constant:
-    """Post one price everywhere."""
+    """Post one price everywhere: the one-market step rule."""
 
     p: float
+    k = 1  # a class attribute, not a field
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
             raise ParameterDomainError("price must lie in [0, 1]")
+
+    @property
+    def prices(self) -> tuple[float]:
+        return (self.p,)
 
 
 @dataclass(frozen=True)
@@ -105,15 +110,16 @@ def k_markets_erm(data: Dataset, k: int) -> tuple[PricingFunction, MarketPartiti
 
 
 def price_at(pf, x) -> float | np.ndarray:
-    """Evaluate a pricing rule at covariate value(s) x.
+    """Evaluate a pricing rule at covariate value(s) x in [0, 1].
 
-    Accepts Constant, KMarkets, or any tabulated policy carrying x_grid
-    and prices arrays (interpolated linearly).
+    Accepts a step rule (Constant or KMarkets), or any tabulated policy
+    carrying x_grid and prices arrays (interpolated linearly).
     """
     x = np.asarray(x, dtype=float)
-    if isinstance(pf, Constant):
-        out = np.full_like(x, pf.p)
-    elif isinstance(pf, KMarkets):
+    # Written so that NaN fails the check.
+    if not ((0.0 <= x) & (x <= 1.0)).all():
+        raise ParameterDomainError("covariates must lie in [0, 1]")
+    if isinstance(pf, PricingFunction):
         idx = np.minimum((x * pf.k).astype(int), pf.k - 1)
         out = np.asarray(pf.prices, dtype=float)[idx]
     elif hasattr(pf, "x_grid"):

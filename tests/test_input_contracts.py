@@ -8,7 +8,7 @@ import pytest
 
 from kmarkets import Dataset, IngestError, ParameterDomainError, UniformJoint, ingest
 from kmarkets import TabulatedPolicy, revenue_deficiency, uniform_strategy
-from kmarkets import QuadratureConfig, concavity_margin, gilbert_varshamov
+from kmarkets import Packing, QuadratureConfig, concavity_margin, gilbert_varshamov
 from kmarkets.cli import main
 from kmarkets.experiment import _plan_chunks
 
@@ -102,3 +102,25 @@ def test_quadrature_config_rejects_non_integer_panels(panels):
 def test_concavity_margin_rejects_a_grid_with_no_usable_difference(grid_size):
     with pytest.raises(ParameterDomainError, match="grid_size"):
         concavity_margin(1.0, 0.05, grid_size=grid_size)
+
+
+@pytest.mark.parametrize("m", [8.0, 8.5])
+def test_packing_rejects_non_integer_bin_count(m):
+    with pytest.raises(ParameterDomainError, match="integer"):
+        Packing(m=m, a=1.0, alpha=(0,) * 8)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--family", "uniform", "--strategy", "uniform", "--n", "8,16", "--reps", "2",
+         "--seed", "1", "--quad-x", "0"],
+        ["adversarial", "hellinger", "--a", "1.0", "--delta", "0.1", "--quad-y", "0"],
+    ],
+    ids=["simulate-quad-x", "hellinger-quad-y"],
+)
+def test_cli_rejects_zero_panels(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "panel counts" in captured.err
+    assert captured.out == ""
