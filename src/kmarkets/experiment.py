@@ -1,11 +1,11 @@
 """Monte Carlo engine for revenue, pointwise, and welfare deficiency.
 
 Replication j of curve point i always uses seed base_seed + i*2^32 + j, so
-results are bit-identical no matter how replications are scheduled; the
-optional process pool only changes wall time.  Deficiency is measured
-against the best policy of the strategy's own class under the true
-distribution: the optimal single price for uniform ERM, the pointwise
-optimal policy for K-markets.
+results are bit-identical no matter how replications are scheduled or how
+many strategies share a draw; the optional process pool only changes wall
+time.  Deficiency is measured against the best policy of the strategy's own
+class under the true distribution: the optimal single price for uniform
+ERM, the pointwise optimal policy for K-markets.
 """
 
 from __future__ import annotations
@@ -114,18 +114,21 @@ def _pointwise_gap(spec, pf, cfg, bench, x0):
 
 
 def _rep_chunk(args):
-    """(deficiencies, revenues) of the replications with the given seeds.
+    """Deficiencies and revenues of every arm on the replications with the given seeds.
 
+    One draw feeds every arm: each seed's dataset is sampled once, and each
+    arm (strategy, metric, bench) is fitted and evaluated on it.
     metric(spec, pf, cfg, bench) -> (deficiency, revenue) is a module-level
     function (or a partial of one), so chunks pickle for the process pool.
+    Returns an (arms, 2, seeds) array: deficiencies in [:, 0], revenues in [:, 1].
     """
-    spec, strategy, n, seeds, cfg, metric, bench = args
-    defs = np.empty(len(seeds))
-    revs = np.empty(len(seeds))
-    for i, seed in enumerate(seeds):
+    spec, n, seeds, cfg, arms = args
+    out = np.empty((len(arms), 2, len(seeds)))
+    for j, seed in enumerate(seeds):
         data = sample(spec, n, seed)
-        defs[i], revs[i] = metric(spec, _fit(strategy, data), cfg, bench)
-    return defs, revs
+        for a, (strategy, metric, bench) in enumerate(arms):
+            out[a, :, j] = metric(spec, _fit(strategy, data), cfg, bench)
+    return out
 
 
 def _plan_chunks(reps: int, workers: int) -> list[np.ndarray]:
@@ -233,30 +236,42 @@ def _check_n_list(n_list) -> list[int]:
     return ns
 
 
-def _curve(spec, strategy, ns, reps, base_seed, cfg, kind, workers):
-    """One point per sample size; point i uses seeds base_seed + i*2^32 + j.
+def _curves(spec, arms, ns, reps, base_seed, cfg, workers):
+    """One curve per arm, all from the same draws; point i uses seeds base_seed + i*2^32 + j.
 
-    kind is a (benchmark, metric) pair.  The benchmark and the chunk plan are
-    made once per curve; with more than one chunk, one pool serves every size.
+    arms is a sequence of (strategy, kind) pairs, kind a (benchmark, metric)
+    pair.  One draw feeds every arm: each (n, j) dataset is sampled once and
+    every arm is fitted and evaluated on it.  Each arm's benchmark is computed
+    once; the chunk plan is made once, and with more than one chunk one pool
+    serves every arm and size.  Returns one list of points per arm.
     """
     if reps < 1:
         raise ParameterDomainError("need at least one replication")
     if workers < 1:
         raise ParameterDomainError("need at least one worker")
-    benchmark, metric = kind
-    bench = benchmark(spec, strategy, cfg)
+    benched = tuple((strategy, metric, benchmark(spec, strategy, cfg)) for strategy, (benchmark, metric) in arms)
     chunks = _plan_chunks(reps, workers)
-    points = []
+    curves = tuple([] for _ in benched)
     with ExitStack() as stack:
         run = map
         if len(chunks) > 1:
             run = stack.enter_context(ProcessPoolExecutor(max_workers=len(chunks))).map
         for i, n in enumerate(ns):
             seed0 = base_seed + i * SEED_STRIDE
-            jobs = [(spec, strategy, n, [seed0 + int(j) for j in c], cfg, metric, bench) for c in chunks]
-            defs, revs = (np.concatenate(part) for part in zip(*run(_rep_chunk, jobs)))
-            points.append(_point(n, strategy, defs, revs))
-    return points
+            jobs = [(spec, n, [seed0 + int(j) for j in c], cfg, benched) for c in chunks]
+            out = np.concatenate(list(run(_rep_chunk, jobs)), axis=-1)
+            for points, (strategy, _, _), (defs, revs) in zip(curves, benched, out):
+                points.append(_point(n, strategy, defs, revs))
+    return curves
+
+
+def _curve(spec, strategy, ns, reps, base_seed, cfg, kind, workers):
+    """One point per sample size; point i uses seeds base_seed + i*2^32 + j.
+
+    The one-arm case of _curves: kind is a (benchmark, metric) pair, the
+    benchmark is computed once, and one draw per (n, j) feeds the one arm.
+    """
+    return _curves(spec, [(strategy, kind)], ns, reps, base_seed, cfg, workers)[0]
 
 
 def deficiency_curve(
@@ -315,13 +330,14 @@ def crossing_scan(
 ) -> CrossingResult:
     """Run uniform and K-markets on shared seeds and find where K-markets pulls ahead.
 
-    Both strategies see identical datasets at every (n, replication) pair.
+    One draw feeds both strategies: each (n, replication) dataset is sampled
+    once and both are fitted on it, with one pool for the whole scan.
     Returns the smallest n whose mean K-markets revenue weakly exceeds the
     mean uniform revenue, with both full curves attached.
     """
     ns = _check_n_list(n_list)
-    uni = _curve(spec, uniform_strategy(), ns, reps, base_seed, cfg, _KINDS["revenue"], workers)
-    km = _curve(spec, kmarkets_strategy(k=k), ns, reps, base_seed, cfg, _KINDS["revenue"], workers)
+    arms = [(uniform_strategy(), _KINDS["revenue"]), (kmarkets_strategy(k=k), _KINDS["revenue"])]
+    uni, km = _curves(spec, arms, ns, reps, base_seed, cfg, workers)
     n_crossing = None
     for pu, pk in zip(uni, km):
         if pk.mean_revenue >= pu.mean_revenue:

@@ -65,6 +65,9 @@ def empirical_demand(valuations, p: float) -> float:
     v = np.asarray(valuations, dtype=float)
     if v.size == 0:
         raise EmptyDataError("empirical demand of an empty sample")
+    # Written so that NaN, which min/max propagate, fails the check.
+    if not (0.0 <= v.min() and v.max() <= 1.0):
+        raise ParameterDomainError("valuations must lie in [0, 1]")
     if not 0.0 <= p <= 1.0:
         raise ParameterDomainError("price must lie in [0, 1]")
     return float(np.count_nonzero(v >= p)) / v.size
@@ -74,14 +77,19 @@ def uniform_erm(valuations) -> float:
     """Revenue-maximizing single price over the sample's own values.
 
     Returns the lowest maximizer, which is always one of the sample values.
+    Valuations must lie in [0, 1]; NaN and inf are rejected.
     """
     v = np.sort(np.asarray(valuations, dtype=float).ravel())
     if v.size == 0:
         raise EmptyDataError("cannot price an empty sample")
+    if not (v[0] >= 0.0 and v[-1] <= 1.0):  # NaN sorts last, so it fails too
+        raise ParameterDomainError("valuations must lie in [0, 1]")
     n = v.size
-    uniq, first = np.unique(v, return_index=True)
-    revenue = uniq * (n - first) / n  # n - first = count of values >= uniq
-    return float(uniq[np.argmax(revenue)])  # argmax takes the first, i.e. lowest, price
+    # At the first copy of a value, n - i values are >= it.  A later copy has a
+    # smaller count, hence strictly lower revenue when the value is positive,
+    # and argmax takes the first maximum: the lowest maximizing price.
+    revenue = v * np.arange(n, 0, -1) / n
+    return float(v[np.argmax(revenue)])
 
 
 def k_markets_erm(data: Dataset, k: int) -> tuple[PricingFunction, MarketPartition]:

@@ -9,6 +9,7 @@ import pytest
 from kmarkets import Dataset, IngestError, ParameterDomainError, UniformJoint, ingest
 from kmarkets import TabulatedPolicy, revenue_deficiency, uniform_strategy
 from kmarkets import Packing, QuadratureConfig, concavity_margin, gilbert_varshamov
+from kmarkets import empirical_demand, uniform_erm
 from kmarkets.cli import main
 from kmarkets.experiment import _plan_chunks
 
@@ -84,6 +85,16 @@ def test_tabulated_policy_rejects_nan():
         TabulatedPolicy(x_grid=[0.0, 1.0], prices=[0.5, math.nan])
     with pytest.raises(ParameterDomainError, match="x_grid"):
         TabulatedPolicy(x_grid=[0.0, math.nan, 1.0], prices=[0.5, 0.5, 0.5])
+
+
+@pytest.mark.parametrize(
+    "values", [[0.5, math.nan], [math.nan], [0.2, math.inf], [-math.inf, 0.2], [1.5, 0.2], [0.4, -0.1]]
+)
+def test_erm_and_demand_reject_valuations_outside_the_unit_interval(values):
+    with pytest.raises(ParameterDomainError, match="valuations"):
+        uniform_erm(values)
+    with pytest.raises(ParameterDomainError, match="valuations"):
+        empirical_demand(values, 0.3)
 
 
 @pytest.mark.parametrize("m", [8.0, 8.5])

@@ -60,6 +60,26 @@ def test_uniform_erm_is_the_lowest_brute_force_maximizer(values):
     assert uniform_erm(np.array(values)) == _brute_force_erm(values)
 
 
+def _unique_erm(values):
+    # reference: revenue at each distinct value's first index, found by np.unique
+    v = np.sort(np.asarray(values, dtype=float))
+    uniq, first = np.unique(v, return_index=True)
+    revenue = uniq * (v.size - first) / v.size
+    return float(uniq[np.argmax(revenue)])
+
+
+tie_heavy = st.lists(st.sampled_from((0.0, 0.125, 0.25, 0.3, 0.5, 0.75, 1.0)), min_size=1, max_size=300)
+
+
+@settings(deadline=None, max_examples=300)
+@given(tie_heavy.flatmap(lambda v: st.tuples(st.just(v), st.permutations(v))))
+def test_uniform_erm_equals_the_unique_formula_and_ignores_order(values_and_shuffled):
+    values, shuffled = values_and_shuffled
+    price = uniform_erm(np.array(values))
+    assert price == _unique_erm(values)
+    assert uniform_erm(np.array(shuffled)) == price
+
+
 @settings(deadline=None, max_examples=200)
 @given(
     st.lists(st.tuples(unit, unit), min_size=1, max_size=40).flatmap(
