@@ -27,6 +27,7 @@ from .families import (
     phi_y,
 )
 from .oracle import (
+    BLOCK,
     DEFAULT_QUAD,
     QuadratureConfig,
     marginal_y_cdf,
@@ -59,17 +60,18 @@ class SupportViolationError(ValueError):
     """Raised when a KL reference density vanishes on the integration grid."""
 
 
-def _simpson_2d(func, cfg: QuadratureConfig, x_chunk: int = 64) -> float:
-    """Iterated Simpson over the unit square, chunked in x to bound memory.
+def _simpson_2d(func, cfg: QuadratureConfig) -> float:
+    """Iterated Simpson over the unit square, BLOCK x-nodes at a time to bound memory.
 
-    func(y, x) must broadcast.
+    func(y, x) must broadcast.  The block width fixes how the float sum is
+    grouped, so changing BLOCK moves divergence values in the last digits.
     """
     ys, wy = _simpson_rule(cfg.y_panels)
     xs, wx = _simpson_rule(cfg.x_panels)
     total = 0.0
-    for start in range(0, wx.size, x_chunk):
-        vals = func(ys.T, xs[:, start : start + x_chunk])
-        total += float((wy @ vals) @ wx[start : start + x_chunk])
+    for start in range(0, wx.size, BLOCK):
+        vals = func(ys.T, xs[:, start : start + BLOCK])
+        total += float((wy @ vals) @ wx[start : start + BLOCK])
     return total
 
 
@@ -195,10 +197,11 @@ def gilbert_varshamov(m: int) -> Codebook:
                 in_code[coset] = True
                 code = np.concatenate([code, coset])
                 break
+    del in_code  # 2^m bytes, no longer needed
     code.sort()
-    # Each word as 4 big-endian bytes, unpacked MSB first; keep the low m bits.
-    bits = np.unpackbits(code.astype(">u4").view(np.uint8).reshape(-1, 4), axis=1)[:, 32 - m :]
-    return Codebook(m=m, words=bits)
+    # Each word shifted to the top of 4 big-endian bytes, so its m bits unpack first, MSB first.
+    packed = (code << (32 - m)).astype(">u4").view(np.uint8).reshape(-1, 4)
+    return Codebook(m=m, words=np.unpackbits(packed, axis=1, count=m))
 
 
 def packing_price_separation(

@@ -10,6 +10,7 @@ ERM, the pointwise optimal policy for K-markets.
 
 from __future__ import annotations
 
+import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -52,8 +53,8 @@ class Strategy:
             raise ParameterDomainError("strategy kind must be 'uniform' or 'kmarkets'")
         if self.kind == "kmarkets" and (self.k is None) == (self.schedule is None):
             raise ParameterDomainError("kmarkets needs exactly one of k or schedule")
-        if self.k is not None and self.k < 1:
-            raise ParameterDomainError("market count must be positive")
+        if self.k is not None and not (isinstance(self.k, numbers.Integral) and self.k >= 1):
+            raise ParameterDomainError("market count must be a positive integer")
         if self.schedule is not None and self.schedule not in ("theory", "sim", "ebay"):
             raise ParameterDomainError(f"unknown schedule variant: {self.schedule!r}")
 
@@ -180,9 +181,7 @@ def _pointwise_kind(x0: float):
         raise ParameterDomainError("x0 must lie in [0, 1]")
 
     def benchmark(spec, strategy, cfg):
-        _, best = _scan_then_refine(
-            lambda q: pointwise_revenue(spec, q, np.full_like(q, x0)), cfg.refine_tol
-        )
+        _, best = _scan_then_refine(partial(pointwise_revenue, spec), np.array([x0], dtype=float), cfg.refine_tol)
         return float(best[0])
 
     return benchmark, partial(_pointwise_gap, x0=x0)
@@ -230,6 +229,9 @@ def pointwise_deficiency(
 
 
 def _check_n_list(n_list) -> list[int]:
+    n_list = list(n_list)
+    if not all(isinstance(n, numbers.Integral) for n in n_list):
+        raise ParameterDomainError("sample sizes must be integers")
     ns = [int(n) for n in n_list]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ParameterDomainError("n_list must be nonempty and strictly increasing")
@@ -245,10 +247,10 @@ def _curves(spec, arms, ns, reps, base_seed, cfg, workers):
     once; the chunk plan is made once, and with more than one chunk one pool
     serves every arm and size.  Returns one list of points per arm.
     """
-    if reps < 1:
-        raise ParameterDomainError("need at least one replication")
-    if workers < 1:
-        raise ParameterDomainError("need at least one worker")
+    if not (isinstance(reps, numbers.Integral) and reps >= 1):
+        raise ParameterDomainError("need a positive integer number of replications")
+    if not (isinstance(workers, numbers.Integral) and workers >= 1):
+        raise ParameterDomainError("need a positive integer number of workers")
     benched = tuple((strategy, metric, benchmark(spec, strategy, cfg)) for strategy, (benchmark, metric) in arms)
     chunks = _plan_chunks(reps, workers)
     curves = tuple([] for _ in benched)

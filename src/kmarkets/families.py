@@ -428,8 +428,8 @@ def sample(spec: DistributionSpec, n: int, seed: int) -> Dataset:
     The covariates are drawn first, then the conditional valuations, so a
     fixed seed pins the whole dataset bit for bit.
     """
-    if n < 1:
-        raise ParameterDomainError("sample size must be at least 1")
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ParameterDomainError("sample size must be an integer >= 1")
     rng = np.random.default_rng(seed)
     x = rng.random(n)
     u = rng.random(n)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .families import _simpson_rule, DistributionSpec, ParameterDomainError
 from .pricing import PricingFunction, price_at
 
 GRID_POINTS = 4097  # scan grid for all price maximizations
+BLOCK = 64  # covariate columns (or price rows) evaluated at once by a grid scan
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -69,13 +71,21 @@ def pointwise_revenue(spec: DistributionSpec, y, x):
 
 
 def marginal_y_cdf(spec: DistributionSpec, p, cfg: QuadratureConfig = DEFAULT_QUAD):
-    """Valuation marginal F_Y(p), integrating the conditional CDF over x."""
+    """Valuation marginal F_Y(p), integrating the conditional CDF over x.
+
+    Prices are integrated BLOCK rows at a time to bound memory; the remainder
+    joins the last block, because the BLAS matrix-vector product may round a
+    lone row differently from the same row inside a larger block.
+    """
     p = np.asarray(p, dtype=float)
     if spec.x_independent:  # the x-average is free
         return spec.conditional_cdf(p, 0.5)
     xs, w = _simpson_rule(cfg.x_panels)
     flat = p.reshape(-1)
-    vals = spec.conditional_cdf(flat[:, None], xs) @ w
+    vals = np.empty(flat.size)
+    starts = range(0, max(flat.size - BLOCK, 0) + 1, BLOCK)
+    for start, stop in zip(starts, [*starts[1:], flat.size]):
+        vals[start:stop] = spec.conditional_cdf(flat[start:stop, None], xs) @ w
     return vals.reshape(p.shape) if p.ndim else float(vals[0])
 
 
@@ -108,24 +118,30 @@ def _golden_max(f, lo, hi, tol):
     return np.where(best, c, d), np.maximum(fc, fd)
 
 
-def _scan_then_refine(f, tol):
-    """Maximize f over prices in [0, 1], one maximization per batch column.
+def _scan_then_refine(f, xs, tol):
+    """Maximize f over prices in [0, 1], one maximization per covariate in xs.
 
-    f maps prices of shape (GRID_POINTS, 1) to revenues of shape
-    (GRID_POINTS, m) for the grid scan, and prices of shape (m,) to
-    revenues of shape (m,) for the golden-section refinement of the bracket
-    around the best grid point.  Returns (prices, revenues), each (m,).
-    The grid point is kept unless refinement strictly improves on it: near
-    a flat maximum the refined revenue ties in floats and the grid abscissa
-    (often an exact value like 1/2) is the better answer.
+    f(prices, x) maps prices of shape (GRID_POINTS, 1) and a slice of xs to
+    revenues of shape (GRID_POINTS, len(slice)) for the grid scan, which runs
+    BLOCK columns at a time so that its memory stays bounded, and prices of
+    shape (m,) with all of xs to revenues of shape (m,) for one golden-section
+    refinement of the bracket around every column's best grid point.
+    Returns (prices, revenues), each (m,) for m = xs.size.  The grid point is
+    kept unless refinement strictly improves on it: near a flat maximum the
+    refined revenue ties in floats and the grid abscissa (often an exact
+    value like 1/2) is the better answer.
     """
     ys = np.linspace(0.0, 1.0, GRID_POINTS)
-    rev = f(ys[:, None])
-    i = np.argmax(rev, axis=0)
+    i = np.empty(xs.size, dtype=np.intp)
+    grid_rev = np.empty(xs.size)
+    for start in range(0, xs.size, BLOCK):
+        cols = slice(start, start + BLOCK)
+        rev = f(ys[:, None], xs[cols])
+        i[cols] = np.argmax(rev, axis=0)
+        grid_rev[cols] = rev[i[cols], np.arange(rev.shape[1])]
     lo = ys[np.maximum(i - 1, 0)]
     hi = ys[np.minimum(i + 1, GRID_POINTS - 1)]
-    p_ref, r_ref = _golden_max(f, lo, hi, tol)
-    grid_rev = rev[i, np.arange(rev.shape[1])]
+    p_ref, r_ref = _golden_max(lambda q: f(q, xs), lo, hi, tol)
     better = r_ref > grid_rev
     return np.where(better, p_ref, ys[i]), np.where(better, r_ref, grid_rev)
 
@@ -134,7 +150,9 @@ def optimal_uniform_price(
     spec: DistributionSpec, cfg: QuadratureConfig = DEFAULT_QUAD
 ) -> tuple[float, float]:
     """Best single posted price and its expected revenue."""
-    p, r = _scan_then_refine(lambda q: q * (1.0 - marginal_y_cdf(spec, q, cfg)), cfg.refine_tol)
+    p, r = _scan_then_refine(
+        lambda q, _: q * (1.0 - marginal_y_cdf(spec, q, cfg)), np.zeros(1), cfg.refine_tol
+    )
     return float(p[0]), float(r[0])
 
 
@@ -144,10 +162,10 @@ def optimal_3pd_policy(
     cfg: QuadratureConfig = DEFAULT_QUAD,
 ) -> TabulatedPolicy:
     """Tabulate the pointwise-optimal price p*(x) on a covariate grid."""
-    if x_grid_size < 2:
-        raise ParameterDomainError("x_grid_size must be at least 2")
+    if not isinstance(x_grid_size, numbers.Integral) or x_grid_size < 2:
+        raise ParameterDomainError("x_grid_size must be an integer >= 2")
     xs = np.linspace(0.0, 1.0, x_grid_size)
-    prices, _ = _scan_then_refine(lambda q: pointwise_revenue(spec, q, xs), cfg.refine_tol)
+    prices, _ = _scan_then_refine(partial(pointwise_revenue, spec), xs, cfg.refine_tol)
     return TabulatedPolicy(x_grid=xs, prices=prices)
 
 

@@ -10,6 +10,7 @@ to the lowest price.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Union
 
@@ -99,8 +100,8 @@ def k_markets_erm(data: Dataset, k: int) -> tuple[PricingFunction, MarketPartiti
     bins are occupied; K=1 always works and degenerates to uniform pricing,
     in which case a Constant pricing function is returned.
     """
-    if k < 1:
-        raise ParameterDomainError("k must be at least 1")
+    if not (isinstance(k, numbers.Integral) and k >= 1):
+        raise ParameterDomainError("k must be an integer >= 1")
     n = len(data)
     # Bins beyond the sample size are guaranteed to leave one empty, so the
     # countdown can start at min(k, n) without changing the result.

@@ -8,6 +8,8 @@ import pytest
 
 from kmarkets import Dataset, IngestError, ParameterDomainError, UniformJoint, ingest
 from kmarkets import TabulatedPolicy, revenue_deficiency, uniform_strategy
+from kmarkets import PowerSimulated, crossing_scan, deficiency_curve, kmarkets_strategy
+from kmarkets import k_markets_erm, optimal_3pd_policy, sample
 from kmarkets import Packing, QuadratureConfig, concavity_margin, gilbert_varshamov
 from kmarkets import empirical_demand, uniform_erm
 from kmarkets.cli import main
@@ -135,3 +137,31 @@ def test_cli_rejects_zero_panels(capsys, argv):
     captured = capsys.readouterr()
     assert "panel counts" in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("n, reps, workers", [(8, 2.5, 1), (8, 2, 1.5), (8.5, 2, 1)])
+def test_monte_carlo_counts_must_be_integers(n, reps, workers):
+    with pytest.raises(ParameterDomainError, match="integer"):
+        revenue_deficiency(UniformJoint(), uniform_strategy(), n, reps, 1, workers=workers)
+
+
+def test_sample_sizes_must_be_integers():
+    with pytest.raises(ParameterDomainError, match="integers"):
+        deficiency_curve(UniformJoint(), uniform_strategy(), [10.7, 20.2, 30.9], 2, 1)
+    with pytest.raises(ParameterDomainError, match="integers"):
+        crossing_scan(UniformJoint(), [8, 16.0], 2, 2, 1)
+    assert deficiency_curve(UniformJoint(), uniform_strategy(), np.array([8, 16, 32]), 2, 1)[0].n == 8
+
+
+@pytest.mark.parametrize("k", [2.5, 2.0])
+def test_market_count_must_be_an_integer(k):
+    with pytest.raises(ParameterDomainError, match="integer"):
+        kmarkets_strategy(k=k)
+    with pytest.raises(ParameterDomainError, match="integer"):
+        k_markets_erm(sample(UniformJoint(), 16, 1), k)
+
+
+@pytest.mark.parametrize("size", [2.5, 1025.0])
+def test_policy_grid_size_must_be_an_integer(size):
+    with pytest.raises(ParameterDomainError, match="x_grid_size"):
+        optimal_3pd_policy(PowerSimulated(), x_grid_size=size)
