@@ -258,20 +258,21 @@ def concavity_margin(b: float, delta: float, grid_size: int = 10000) -> float:
     """Largest finite-difference second derivative of the revenue curve.
 
     Central second differences of R(y) = y*(1 - F_Y(y)) for the perturbed
-    marginal on a uniform grid, skipping +-2 cells around the four density
-    kinks where the difference quotient straddles a jump in R''.  Strong
-    concavity means the returned value stays below -C*.
+    marginal on a uniform grid, skipping +-2 cells around the family's
+    interior ``y_knots`` (the density kinks) where the difference quotient
+    straddles a jump in R''.  Strong concavity means the returned value
+    stays below -C*.
     """
     spec = PerturbedUniform(a=b, delta=delta)
-    if grid_size < 3:
-        raise ParameterDomainError("grid_size must be at least 3")
+    if not (isinstance(grid_size, numbers.Integral) and grid_size >= 3):
+        raise ParameterDomainError("grid_size must be an integer >= 3")
     ys = np.linspace(0.0, 1.0, grid_size)
     h = ys[1] - ys[0]
     rev = ys * (1.0 - marginal_y_cdf(spec, ys))
     second = (rev[:-2] - 2.0 * rev[1:-1] + rev[2:]) / (h * h)
     centers = ys[1:-1]
     keep = np.ones_like(centers, dtype=bool)
-    for kink in (0.5 - delta, 0.5, 0.5 + 2.0 * delta, 0.5 + 3.0 * delta):
+    for kink in spec.y_knots[1:-1]:
         keep &= np.abs(centers - kink) > 2.0 * h
     if not keep.any():
         raise ParameterDomainError(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from .adversarial import (
@@ -44,7 +45,7 @@ from .families import (
     validate_density,
 )
 from .ingest import IngestError, ingest
-from .oracle import DEFAULT_QUAD, QuadratureConfig
+from .oracle import QuadratureConfig
 from .pricing import k_markets_erm
 
 CURVE_COLUMNS = ("n", "strategy", "mean_deficiency", "std_error", "reps", "mean_revenue")
@@ -144,11 +145,15 @@ def _add_alpha_pair_args(p) -> None:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--alpha")
     p.add_argument("--alpha2")
-    _add_quad_args(p)
+
+
+# --family name -> class, whose dataclass fields name the family flags it takes
+# (perturbed with --x0 is PerturbedConditional); each field needs a flag in _add_family_args.
+_FAMILIES = {"uniform": UniformJoint, "power": PowerSimulated, "perturbed": PerturbedUniform, "packing": Packing}
 
 
 def _add_family_args(p) -> None:
-    p.add_argument("--family", required=True, choices=["uniform", "power", "perturbed", "packing"])
+    p.add_argument("--family", required=True, choices=list(_FAMILIES))
     p.add_argument("--a", type=float, help="perturbation amplitude")
     p.add_argument("--delta", type=float, help="perturbation scale")
     p.add_argument("--x0", type=float, help="center of the covariate window (conditional perturbation)")
@@ -164,41 +169,35 @@ def _add_run_args(p) -> None:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out")
     p.add_argument("--workers", type=int, default=1)
-    _add_quad_args(p)
 
 
 def _build_family(args):
-    if args.family == "uniform":
-        return UniformJoint()
-    if args.family == "power":
-        return PowerSimulated()
-    if args.family == "perturbed":
-        if args.a is None or args.delta is None:
-            raise ParameterDomainError("perturbed family needs --a and --delta")
-        if args.x0 is not None:
-            return PerturbedConditional(a=args.a, delta=args.delta, x0=args.x0)
-        return PerturbedUniform(a=args.a, delta=args.delta)
-    if args.m is None or args.a is None or args.alpha is None:
-        raise ParameterDomainError("packing family needs --m, --a and --alpha")
-    return Packing(m=args.m, a=args.a, alpha=_parse_bits(args.alpha, args.m))
+    """The --family class, built from exactly the family flags named by its fields."""
+    names = {f.name for family in (*_FAMILIES.values(), PerturbedConditional) for f in fields(family)}
+    given = {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+    cls = _FAMILIES[args.family]
+    if cls is PerturbedUniform and "x0" in given:
+        cls = PerturbedConditional
+    takes = [f.name for f in fields(cls)]
+    if set(given) != set(takes):
+        flags = ", ".join(f"--{name}" for name in takes) or "no family flags"
+        raise ParameterDomainError(f"--family {args.family} ({cls.__name__}) takes {flags}")
+    if "alpha" in given:
+        given["alpha"] = _parse_bits(given["alpha"], given["m"])
+    return cls(**given)
+
+
+def _add_quad_args(p, axes: str) -> None:
+    """--quad-y/--quad-x for the axes whose Simpson rule the command runs; dest is the config field."""
+    for axis in axes:
+        p.add_argument(f"--quad-{axis}", dest=f"{axis}_panels", type=int, default=argparse.SUPPRESS,
+                       help=f"Simpson panels in {axis}")
 
 
 def _quad_config(args) -> QuadratureConfig:
-    return QuadratureConfig(y_panels=args.quad_y, x_panels=args.quad_x)
-
-
-def _add_quad_args(p) -> None:
-    p.add_argument("--quad-y", type=int, default=DEFAULT_QUAD.y_panels, help="Simpson panels in y")
-    p.add_argument("--quad-x", type=int, default=DEFAULT_QUAD.x_panels, help="Simpson panels in x")
-
-
-def _emit_curve(points, out_path) -> None:
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            write_curve(points, fh)
-        print(f"wrote {len(points)} rows to {out_path}")
-    else:
-        write_curve(points, sys.stdout)
+    """The quadrature flags given, and the QuadratureConfig defaults for the rest."""
+    given = {f.name: getattr(args, f.name) for f in fields(QuadratureConfig) if hasattr(args, f.name)}
+    return QuadratureConfig(**given)
 
 
 def _cmd_price(args) -> int:
@@ -218,21 +217,17 @@ def _cmd_price(args) -> int:
 
 
 def _cmd_curve(args) -> int:
+    """simulate, welfare and pointwise: one curve of the subcommand's arm (strategy, kind)."""
     spec = _build_family(args)
-    strategy = _parse_strategy(args.strategy)
+    strategy, kind = args.arm(args)
     ns = _parse_n_list(args.n)
-    points = _curve(spec, strategy, ns, args.reps, args.seed, _quad_config(args), args.kind, args.workers)
-    _emit_curve(points, args.out)
-    return 0
-
-
-def _cmd_pointwise(args) -> int:
-    spec = _build_family(args)
-    cfg = _quad_config(args)
-    ns = _parse_n_list(args.n)
-    kind = _pointwise_kind(args.at)
-    points = _curve(spec, kmarkets_strategy(k=args.k), ns, args.reps, args.seed, cfg, kind, args.workers)
-    _emit_curve(points, args.out)
+    points = _curve(spec, strategy, ns, args.reps, args.seed, _quad_config(args), kind, args.workers)
+    if args.out:
+        with open(args.out, "w", newline="") as fh:
+            write_curve(points, fh)
+        print(f"wrote {len(points)} rows to {args.out}")
+    else:
+        write_curve(points, sys.stdout)
     return 0
 
 
@@ -298,13 +293,13 @@ def _cmd_adv_kl(args) -> int:
 
 def _cmd_adv_separation(args) -> int:
     alpha, alpha2 = _alpha_pair(args)
-    value = packing_price_separation(args.m, args.a, alpha, alpha2, args.grid, _quad_config(args))
+    value = packing_price_separation(args.m, args.a, alpha, alpha2, args.grid)
     print(f"separation={_g17(value)}")
     return 0
 
 
 def _cmd_adv_lemma_c3(args) -> int:
-    result = lemma_c3_check(args.b, args.delta, _quad_config(args))
+    result = lemma_c3_check(args.b, args.delta)
     print(f"p_star={_g17(result.p_star)}")
     print(f"interval=({_g17(result.interval[0])}, {_g17(result.interval[1])})")
     print(f"inside={str(result.inside).lower()}")
@@ -330,17 +325,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--no-header", action="store_true")
     p.set_defaults(func=_cmd_price)
 
-    for name, kind in (("simulate", "revenue"), ("welfare", "welfare")):
+    for name, kind in (("simulate", _KINDS["revenue"]), ("welfare", _KINDS["welfare"])):
         p = sub.add_parser(name, help=f"{name} deficiency curve")
         _add_run_args(p)
+        _add_quad_args(p, "x")
         p.add_argument("--strategy", required=True)
-        p.set_defaults(func=_cmd_curve, kind=_KINDS[kind])
+        p.set_defaults(func=_cmd_curve, arm=lambda a, kind=kind: (_parse_strategy(a.strategy), kind))
 
     p = sub.add_parser("pointwise", help="pointwise deficiency curve")
     _add_run_args(p)
     p.add_argument("--k", type=int, required=True)
     p.add_argument("--at", type=float, required=True, help="covariate value to evaluate at")
-    p.set_defaults(func=_cmd_pointwise)
+    p.set_defaults(func=_cmd_curve, arm=lambda a: (kmarkets_strategy(k=a.k), _pointwise_kind(a.at)))
 
     p = sub.add_parser("rates", help="fit a rate to a saved curve")
     p.add_argument("--curve", required=True)
@@ -349,6 +345,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("crossing", help="where K-markets catches uniform pricing")
     _add_run_args(p)
+    _add_quad_args(p, "x")
     p.add_argument("--k", type=int, required=True)
     p.set_defaults(func=_cmd_crossing)
 
@@ -362,11 +359,12 @@ def _build_parser() -> _Parser:
     p = advsub.add_parser("hellinger", help="marginal perturbation divergences")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    _add_quad_args(p)
+    _add_quad_args(p, "yx")
     p.set_defaults(func=_cmd_adv_hellinger)
 
     p = advsub.add_parser("kl", help="KL between two packing laws")
     _add_alpha_pair_args(p)
+    _add_quad_args(p, "yx")
     p.set_defaults(func=_cmd_adv_kl)
 
     p = advsub.add_parser("separation", help="optimal-policy L2 gap between packings")
@@ -377,7 +375,6 @@ def _build_parser() -> _Parser:
     p = advsub.add_parser("lemma-c3", help="optimal-price interval of the perturbed marginal")
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    _add_quad_args(p)
     p.set_defaults(func=_cmd_adv_lemma_c3)
 
     p = advsub.add_parser("validate", help="density normalization report")

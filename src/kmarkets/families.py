@@ -449,8 +449,8 @@ def validate_density(spec: DistributionSpec, x_grid_size: int = 101) -> DensityR
     reports the smallest density value seen on a y/x evaluation grid that
     includes the family's ``y_knots``.
     """
-    if x_grid_size < 2:
-        raise ParameterDomainError("x_grid_size must be at least 2")
+    if not (isinstance(x_grid_size, numbers.Integral) and x_grid_size >= 2):
+        raise ParameterDomainError("x_grid_size must be an integer >= 2")
     xs = np.linspace(0.0, 1.0, x_grid_size)
     ys = np.union1d(np.linspace(0.0, 1.0, 2049), spec.y_knots)
     dens = spec.conditional_density(ys[:, None], xs[None, :])

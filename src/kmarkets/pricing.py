@@ -142,7 +142,8 @@ def k_schedule(n: int, variant: str = "theory", fixed: int | None = None) -> int
     """Market count as a function of the sample size.
 
     theory: floor(n^(1/4)); ebay: floor(2*n^(1/4) - 7); sim: floor of a
-    fifth of the theory count; fixed: the given constant.  All floored at 1.
+    fifth of the theory count; fixed: the given constant.  All floored at 1
+    and computed in exact integer arithmetic.
     """
     if n < 1:
         raise ParameterDomainError("sample size must be at least 1")
@@ -152,9 +153,7 @@ def k_schedule(n: int, variant: str = "theory", fixed: int | None = None) -> int
     if variant == "sim":
         return max(1, root // 5)
     if variant == "ebay":
-        if root**4 == n:  # perfect fourth powers sit on the floor boundary
-            return max(1, 2 * root - 7)
-        return max(1, math.floor(2.0 * n**0.25 - 7.0))
+        return max(1, math.isqrt(math.isqrt(16 * n)) - 7)  # floor(2 n^(1/4)) == floor((16 n)^(1/4))
     if variant == "fixed":
         if fixed is None or fixed < 1:
             raise ParameterDomainError("fixed schedule needs a positive market count")

@@ -11,7 +11,7 @@ from kmarkets import TabulatedPolicy, revenue_deficiency, uniform_strategy
 from kmarkets import PowerSimulated, crossing_scan, deficiency_curve, kmarkets_strategy
 from kmarkets import k_markets_erm, optimal_3pd_policy, sample
 from kmarkets import Packing, QuadratureConfig, concavity_margin, gilbert_varshamov
-from kmarkets import empirical_demand, uniform_erm
+from kmarkets import empirical_demand, uniform_erm, validate_density
 from kmarkets.cli import main
 from kmarkets.experiment import _plan_chunks
 
@@ -165,3 +165,15 @@ def test_market_count_must_be_an_integer(k):
 def test_policy_grid_size_must_be_an_integer(size):
     with pytest.raises(ParameterDomainError, match="x_grid_size"):
         optimal_3pd_policy(PowerSimulated(), x_grid_size=size)
+
+
+@pytest.mark.parametrize("size", [2.5, 101.0])
+def test_density_check_grid_size_must_be_an_integer(size):
+    with pytest.raises(ParameterDomainError, match="x_grid_size"):
+        validate_density(UniformJoint(), size)
+
+
+@pytest.mark.parametrize("grid_size", [3.5, 10000.0])
+def test_concavity_margin_grid_size_must_be_an_integer(grid_size):
+    with pytest.raises(ParameterDomainError, match="grid_size"):
+        concavity_margin(1.0, 0.05, grid_size)

@@ -185,3 +185,20 @@ def test_k_schedule_quarter_powers_exact():
         assert k_schedule(n, "theory") == r
         assert k_schedule(n - 1, "theory") == r - 1
         assert k_schedule(n, "ebay") == max(1, 2 * r - 7)
+
+
+def _ebay_reference(n):
+    # floor(2 n^(1/4)) is the largest s with s^4 <= 16 n; for n near r^4 it is 2r - 1, 2r or 2r + 1.
+    r = round(n**0.25)
+    s = max(s for s in (2 * r - 1, 2 * r, 2 * r + 1) if s**4 <= 16 * n)
+    return max(1, s - 7)
+
+
+def test_k_schedule_ebay_is_exact_around_fourth_powers():
+    for r in range(1, 100_001):
+        for n in (r**4 - 1, r**4, r**4 + 1):
+            if n >= 1:
+                assert k_schedule(n, "ebay") == _ebay_reference(n), n
+    # where a float n**0.25 rounds up to the next integer
+    assert k_schedule(10**16 - 1, "ebay") == 19992
+    assert k_schedule(30_000**4 - 1, "ebay") == 2 * 30_000 - 1 - 7
