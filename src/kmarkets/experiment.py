@@ -6,6 +6,14 @@ many strategies share a draw; the optional process pool only changes wall
 time.  Deficiency is measured against the best policy of the strategy's own
 class under the true distribution: the optimal single price for uniform
 ERM, the pointwise optimal policy for K-markets.
+
+Replications run in blocks of R = max(1, BATCH // n) seeds.  Each seed's
+dataset is sampled on its own; the block is stacked into (R, n) arrays,
+fitted row by row in one array pass (``pricing.uniform_erm_rows``,
+``pricing.k_markets_erm_rows``) and integrated about BATCH quadrature nodes
+at a time (``oracle.integrate_rows``).  Every row goes through the same
+arithmetic as a lone replication, so the block size does not change a bit
+either; it only removes per-replication Python overhead at small n.
 """
 
 from __future__ import annotations
@@ -20,20 +28,26 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .families import DistributionSpec, ParameterDomainError, sample
+from .families import DistributionSpec, ParameterDomainError, _simpson_rule, sample
 from .oracle import (
     DEFAULT_QUAD,
     QuadratureConfig,
     _scan_then_refine,
     expected_revenue,
+    integrate_rows,
     optimal_3pd_policy,
     optimal_uniform_price,
+    partial_expectation,
     pointwise_revenue,
     welfare,
 )
-from .pricing import Constant, k_markets_erm, k_schedule, price_at, uniform_erm
+from .pricing import Constant, k_markets_erm_rows, k_schedule, uniform_erm_rows
 
 SEED_STRIDE = 1 << 32  # seed offset between consecutive curve points
+# Elements per batched array: (R, n) sample blocks and evaluation blocks.
+# 8192 float64 are 64 KB, under glibc's 128 KB mmap threshold, so the
+# blocks come from the heap instead of faulting in fresh pages each time.
+BATCH = 8192
 
 
 @dataclass(frozen=True)
@@ -92,43 +106,78 @@ class RateFit:
     r_squared: float
 
 
-def _fit(strategy: Strategy, data):
+def _fit(strategy: Strategy, x, y):
+    """Fit the strategy to each row of (R, n) samples.
+
+    Yields (rows, prices) per group of rows sharing a market count k:
+    the row indices and their (len(rows), k) step-rule prices.
+    """
     if strategy.kind == "uniform":
-        return Constant(uniform_erm(data.y))
-    k = strategy.k if strategy.k is not None else k_schedule(len(data), strategy.schedule)
-    pf, _ = k_markets_erm(data, k)
-    return pf
+        yield np.arange(len(y)), uniform_erm_rows(y)[:, None]
+        return
+    k = strategy.k if strategy.k is not None else k_schedule(y.shape[1], strategy.schedule)
+    for rows, prices, _ in k_markets_erm_rows(x, y, k):
+        yield rows, prices
 
 
-def _revenue_gap(spec, pf, cfg, bench):
-    r = expected_revenue(spec, pf, cfg)
+def _integrals(spec, prices, cfg, integrands):
+    """Integrals of each integrand for every row of (rows, k) step-rule prices.
+
+    Rows are integrated in blocks of about BATCH quadrature nodes, so the
+    temporaries stay small; each row's bits do not depend on its block.
+    Returns one (rows,) array per integrand.
+    """
+    nodes, w = _simpson_rule(cfg.x_panels, prices.shape[1])
+    step = max(1, BATCH // nodes.size)
+    out = np.empty((len(integrands), len(prices)))
+    for start in range(0, len(prices), step):
+        block = prices[start : start + step, :, None]
+        out[:, start : start + step] = integrate_rows(spec, block, nodes, w, integrands)
+    return out
+
+
+def _revenue_gap(spec, prices, cfg, bench):
+    (r,) = _integrals(spec, prices, cfg, (pointwise_revenue,))
     return bench - r, r
 
 
-def _welfare_gap(spec, pf, cfg, bench):
-    return abs(welfare(spec, pf, cfg) - bench), expected_revenue(spec, pf, cfg)
+def _welfare_gap(spec, prices, cfg, bench):
+    w, r = _integrals(spec, prices, cfg, (partial_expectation, pointwise_revenue))
+    return np.abs(w - bench), r
 
 
-def _pointwise_gap(spec, pf, cfg, bench, x0):
-    r = float(pointwise_revenue(spec, price_at(pf, x0), x0))
+def _pointwise_gap(spec, prices, cfg, bench, x0):
+    # One scalar call per price: numpy's scalar power (np.float64 ** 2 runs
+    # pow) and its array power (squares) can differ in the last bit.
+    k = prices.shape[1]
+    market = prices[:, min(int(x0 * k), k - 1)]
+    r = np.array([float(pointwise_revenue(spec, p, x0)) for p in market.tolist()])
     return bench - r, r
 
 
 def _rep_chunk(args):
     """Deficiencies and revenues of every arm on the replications with the given seeds.
 
-    One draw feeds every arm: each seed's dataset is sampled once, and each
-    arm (strategy, metric, bench) is fitted and evaluated on it.
-    metric(spec, pf, cfg, bench) -> (deficiency, revenue) is a module-level
-    function (or a partial of one), so chunks pickle for the process pool.
+    Seeds run in blocks of R = max(1, BATCH // n).  Each seed's dataset is
+    sampled once, the block's datasets are stacked into (R, n) arrays, and
+    each arm (strategy, metric, bench) fits and evaluates all of them at
+    once.  metric(spec, prices, cfg, bench) -> (deficiencies, revenues)
+    takes (rows, k) step-rule prices; it is a module-level function (or a
+    partial of one), so chunks pickle for the process pool.
     Returns an (arms, 2, seeds) array: deficiencies in [:, 0], revenues in [:, 1].
     """
     spec, n, seeds, cfg, arms = args
     out = np.empty((len(arms), 2, len(seeds)))
-    for j, seed in enumerate(seeds):
-        data = sample(spec, n, seed)
+    step = max(1, BATCH // n)
+    for start in range(0, len(seeds), step):
+        data = [sample(spec, n, seed) for seed in seeds[start : start + step]]
+        if len(data) == 1:  # a lone large sample is used in place, not copied
+            x, y = data[0].x[None], data[0].y[None]
+        else:
+            x, y = np.stack([d.x for d in data]), np.stack([d.y for d in data])
         for a, (strategy, metric, bench) in enumerate(arms):
-            out[a, :, j] = metric(spec, _fit(strategy, data), cfg, bench)
+            for rows, prices in _fit(strategy, x, y):
+                out[a][:, start + rows] = metric(spec, prices, cfg, bench)
     return out
 
 
@@ -230,8 +279,8 @@ def pointwise_deficiency(
 
 def _check_n_list(n_list) -> list[int]:
     n_list = list(n_list)
-    if not all(isinstance(n, numbers.Integral) for n in n_list):
-        raise ParameterDomainError("sample sizes must be integers")
+    if not all(isinstance(n, numbers.Integral) and n >= 1 for n in n_list):
+        raise ParameterDomainError("sample sizes must be integers >= 1")
     ns = [int(n) for n in n_list]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
         raise ParameterDomainError("n_list must be nonempty and strictly increasing")
@@ -251,6 +300,7 @@ def _curves(spec, arms, ns, reps, base_seed, cfg, workers):
         raise ParameterDomainError("need a positive integer number of replications")
     if not (isinstance(workers, numbers.Integral) and workers >= 1):
         raise ParameterDomainError("need a positive integer number of workers")
+    ns = _check_n_list(ns)
     benched = tuple((strategy, metric, benchmark(spec, strategy, cfg)) for strategy, (benchmark, metric) in arms)
     chunks = _plan_chunks(reps, workers)
     curves = tuple([] for _ in benched)
@@ -337,9 +387,8 @@ def crossing_scan(
     Returns the smallest n whose mean K-markets revenue weakly exceeds the
     mean uniform revenue, with both full curves attached.
     """
-    ns = _check_n_list(n_list)
     arms = [(uniform_strategy(), _KINDS["revenue"]), (kmarkets_strategy(k=k), _KINDS["revenue"])]
-    uni, km = _curves(spec, arms, ns, reps, base_seed, cfg, workers)
+    uni, km = _curves(spec, arms, n_list, reps, base_seed, cfg, workers)
     n_crossing = None
     for pu, pk in zip(uni, km):
         if pk.mean_revenue >= pu.mean_revenue:

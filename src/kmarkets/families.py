@@ -184,12 +184,15 @@ class PowerSimulated(DistributionSpec):
     segmentation has something to exploit.
     """
 
+    # x + 1.0 and x + 2.0 are computed on x's own shape and broadcast only
+    # in the power: the same numbers with smaller temporaries.
+
     def conditional_density(self, y, x):
-        y, x = np.broadcast_arrays(np.asarray(y, float), np.asarray(x, float))
+        y, x = np.asarray(y, float), np.asarray(x, float)
         return (x + 1.0) * y**x
 
     def conditional_cdf(self, y, x):
-        y, x = np.broadcast_arrays(np.asarray(y, float), np.asarray(x, float))
+        y, x = np.asarray(y, float), np.asarray(x, float)
         return y ** (x + 1.0)
 
     def ppf(self, u, x):
@@ -197,7 +200,7 @@ class PowerSimulated(DistributionSpec):
         return u ** (1.0 / (x + 1.0))
 
     def partial_expectation(self, p, x):
-        p, x = np.broadcast_arrays(np.asarray(p, float), np.asarray(x, float))
+        p, x = np.asarray(p, float), np.asarray(x, float)
         out = (x + 1.0) / (x + 2.0) * (1.0 - p ** (x + 2.0))
         return out if out.ndim else float(out)
 

@@ -169,19 +169,32 @@ def optimal_3pd_policy(
     return TabulatedPolicy(x_grid=xs, prices=prices)
 
 
+def integrate_rows(spec, prices, nodes, w, integrands):
+    """Simpson-integrate each integrand(spec, prices, xs) against the covariate law.
+
+    (nodes, w) is a ``_simpson_rule`` of k markets, and prices broadcasts
+    against nodes with one leading row per policy: (rows, k, 1) for step
+    rules with k markets, (1, 1, m + 1) for a tabulated policy on nodes.
+    Each row's integrand is its own (k, m + 1) matrix-vector product, so a
+    row integrates to the same bits alone or in a block of rows.  Returns
+    one (rows,) array per integrand.
+    """
+    return [(f(spec, prices, nodes) @ w).sum(axis=1) / nodes.shape[0] for f in integrands]
+
+
 def _integrate_policy(spec, pf, cfg, integrand):
-    """Simpson-integrate integrand(prices, xs) against the covariate law.
+    """One policy's case of integrate_rows.
 
     A step rule (a Constant is one market) is integrated market by market, so its
     price steps land on panel boundaries; a tabulated policy is one market.
     """
     if isinstance(pf, PricingFunction):
         nodes, w = _simpson_rule(cfg.x_panels, pf.k)
-        prices = np.asarray(pf.prices, dtype=float)[:, None]
+        prices = np.asarray(pf.prices, dtype=float)[None, :, None]
     else:
         nodes, w = _simpson_rule(cfg.x_panels)
-        prices = price_at(pf, nodes)
-    return float((integrand(prices, nodes) @ w).sum() / nodes.shape[0])
+        prices = price_at(pf, nodes)[None]
+    return float(integrate_rows(spec, prices, nodes, w, (integrand,))[0][0])
 
 
 def expected_revenue(
@@ -190,7 +203,7 @@ def expected_revenue(
     cfg: QuadratureConfig = DEFAULT_QUAD,
 ) -> float:
     """Expected revenue of a pricing function under the true distribution."""
-    return _integrate_policy(spec, pf, cfg, lambda p, x: pointwise_revenue(spec, p, x))
+    return _integrate_policy(spec, pf, cfg, pointwise_revenue)
 
 
 def partial_expectation(spec: DistributionSpec, p, x):
@@ -204,4 +217,4 @@ def welfare(
     cfg: QuadratureConfig = DEFAULT_QUAD,
 ) -> float:
     """Expected social welfare E[Y 1{Y >= p(X)}] of a pricing function."""
-    return _integrate_policy(spec, pf, cfg, lambda p, x: partial_expectation(spec, p, x))
+    return _integrate_policy(spec, pf, cfg, partial_expectation)

@@ -43,7 +43,9 @@ class KMarkets:
     prices: tuple[float, ...]
 
     def __post_init__(self):
-        if self.k < 1 or len(self.prices) != self.k:
+        if not (isinstance(self.k, numbers.Integral) and self.k >= 1):
+            raise ParameterDomainError("market count must be an integer >= 1")
+        if len(self.prices) != self.k:
             raise ParameterDomainError("need exactly one price per market")
         if any(not 0.0 <= p <= 1.0 for p in self.prices):
             raise ParameterDomainError("prices must lie in [0, 1]")
@@ -74,23 +76,96 @@ def empirical_demand(valuations, p: float) -> float:
     return float(np.count_nonzero(v >= p)) / v.size
 
 
+def _erm_sorted(v, m):
+    """Lowest revenue-maximizing price of each row of ascending values.
+
+    m is the row length, or an (R, 1) array of counts: row i then holds its
+    m[i] values first, padded past them with a value above 1.  At the first
+    copy of a value, m - j values are >= it.  A later copy has a smaller
+    count, hence strictly lower revenue when the value is positive, and
+    argmax takes the first maximum: the lowest maximizing price.  A padded
+    slot has m - j <= 0, so its revenue never beats the first slot's.
+    """
+    revenue = v * (np.arange(m, 0, -1) if isinstance(m, int) else m - np.arange(v.shape[1]))
+    revenue /= m
+    return v[np.arange(v.shape[0]), np.argmax(revenue, axis=1)]
+
+
+def uniform_erm_rows(y) -> np.ndarray:
+    """Uniform ERM price of each row of an (R, n) array of valuations."""
+    return _erm_sorted(np.sort(y, axis=1), y.shape[1])
+
+
 def uniform_erm(valuations) -> float:
     """Revenue-maximizing single price over the sample's own values.
 
     Returns the lowest maximizer, which is always one of the sample values.
-    Valuations must lie in [0, 1]; NaN and inf are rejected.
+    Valuations must lie in [0, 1]; NaN and inf are rejected.  The one-row
+    case of ``uniform_erm_rows``.
     """
     v = np.sort(np.asarray(valuations, dtype=float).ravel())
     if v.size == 0:
         raise EmptyDataError("cannot price an empty sample")
     if not (v[0] >= 0.0 and v[-1] <= 1.0):  # NaN sorts last, so it fails too
         raise ParameterDomainError("valuations must lie in [0, 1]")
-    n = v.size
-    # At the first copy of a value, n - i values are >= it.  A later copy has a
-    # smaller count, hence strictly lower revenue when the value is positive,
-    # and argmax takes the first maximum: the lowest maximizing price.
-    revenue = v * np.arange(n, 0, -1) / n
-    return float(v[np.argmax(revenue)])
+    return float(_erm_sorted(v[None], v.size)[0])
+
+
+def _market_prices(y, bins, counts):
+    """Per-market ERM prices (R, k) of rows whose k markets are all occupied.
+
+    Market b of every row is gathered out of y (row-major, so row i
+    contributes its m[i] values in turn), padded with 2.0 to the largest
+    count when the rows' counts differ, sorted and priced by _erm_sorted:
+    values are sorted, never indices, and each only within its own market.
+    Returns the prices and, per market, the flat indices it gathered.
+    """
+    prices = np.empty(counts.shape)
+    markets = []
+    for b, (low, width) in enumerate(zip(counts.min(axis=0).tolist(), counts.max(axis=0).tolist())):
+        # flatnonzero and take, not y[mask]: boolean indexing branches per element.
+        markets.append(np.flatnonzero(bins == b))
+        seg = np.take(y, markets[b])
+        m = width
+        if low < width:
+            m = counts[:, b : b + 1]
+            padded = np.full((len(counts), width), 2.0)
+            padded[np.arange(width) < m] = seg
+            seg = padded
+        seg = seg.reshape(len(counts), width)
+        seg.sort(axis=1)
+        prices[:, b] = _erm_sorted(seg, m)
+    return prices, markets
+
+
+def k_markets_erm_rows(x, y, k: int):
+    """K-markets ERM of each row of (R, n) covariates x and valuations y.
+
+    Each row runs the empty-bin countdown of ``k_markets_erm`` on its own.
+    Yields (rows, prices, markets) once per effective market count k_eff,
+    largest first: the indices of the rows with that count, their
+    (len(rows), k_eff) prices and, per market, the flat indices of its
+    points in those rows' (len(rows), n) block.
+    """
+    rows = np.arange(x.shape[0])
+    # Bins beyond the sample size are guaranteed to leave one empty, so the
+    # countdown can start at min(k, n) without changing the result.
+    for k_eff in range(min(k, x.shape[1]), 0, -1):
+        # floor(min(x k, k - 1)) == min(floor(x k), k - 1), held in the
+        # smallest dtype that also holds the per-row bincount keys.
+        scaled = x * k_eff
+        np.minimum(scaled, k_eff - 1, out=scaled)
+        key = np.min_scalar_type(rows.size * k_eff - 1)
+        bins = scaled.astype(key)
+        keys = bins + np.arange(0, rows.size * k_eff, k_eff, dtype=key)[:, None]
+        counts = np.bincount(keys.ravel(), minlength=rows.size * k_eff).reshape(-1, k_eff)
+        full = counts.all(axis=1)  # always true at k_eff = 1
+        if full.all():
+            yield rows, *_market_prices(y, bins, counts)
+            return
+        if full.any():
+            yield rows[full], *_market_prices(y[full], bins[full], counts[full])
+        rows, x, y = rows[~full], x[~full], y[~full]
 
 
 def k_markets_erm(data: Dataset, k: int) -> tuple[PricingFunction, MarketPartition]:
@@ -98,24 +173,17 @@ def k_markets_erm(data: Dataset, k: int) -> tuple[PricingFunction, MarketPartiti
 
     If any bin is empty, K is decremented (re-binning each time) until all
     bins are occupied; K=1 always works and degenerates to uniform pricing,
-    in which case a Constant pricing function is returned.
+    in which case a Constant pricing function is returned.  The one-row
+    case of ``k_markets_erm_rows``.
     """
     if not (isinstance(k, numbers.Integral) and k >= 1):
         raise ParameterDomainError("k must be an integer >= 1")
-    n = len(data)
-    # Bins beyond the sample size are guaranteed to leave one empty, so the
-    # countdown can start at min(k, n) without changing the result.
-    for k_eff in range(min(k, n), 0, -1):
-        bins = np.minimum((data.x * k_eff).astype(int), k_eff - 1)
-        counts = np.bincount(bins, minlength=k_eff)
-        if counts.min() > 0:
-            break
-    markets = tuple(np.flatnonzero(bins == i) for i in range(k_eff))
-    prices = tuple(uniform_erm(data.y[idx]) for idx in markets)
-    partition = MarketPartition(k_requested=k, k_effective=k_eff, markets=markets)
+    ((_, prices, markets),) = k_markets_erm_rows(data.x[None], data.y[None], k)
+    k_eff = prices.shape[1]
+    partition = MarketPartition(k_requested=k, k_effective=k_eff, markets=tuple(markets))
     if k_eff == 1:
-        return Constant(prices[0]), partition
-    return KMarkets(k=k_eff, prices=prices), partition
+        return Constant(float(prices[0, 0])), partition
+    return KMarkets(k=k_eff, prices=tuple(prices[0].tolist())), partition
 
 
 def price_at(pf, x) -> float | np.ndarray:
@@ -145,8 +213,8 @@ def k_schedule(n: int, variant: str = "theory", fixed: int | None = None) -> int
     fifth of the theory count; fixed: the given constant.  All floored at 1
     and computed in exact integer arithmetic.
     """
-    if n < 1:
-        raise ParameterDomainError("sample size must be at least 1")
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ParameterDomainError("sample size must be an integer >= 1")
     root = math.isqrt(math.isqrt(n))  # exact floor(n^(1/4))
     if variant == "theory":
         return max(1, root)
@@ -155,7 +223,7 @@ def k_schedule(n: int, variant: str = "theory", fixed: int | None = None) -> int
     if variant == "ebay":
         return max(1, math.isqrt(math.isqrt(16 * n)) - 7)  # floor(2 n^(1/4)) == floor((16 n)^(1/4))
     if variant == "fixed":
-        if fixed is None or fixed < 1:
-            raise ParameterDomainError("fixed schedule needs a positive market count")
+        if not (isinstance(fixed, numbers.Integral) and fixed >= 1):
+            raise ParameterDomainError("fixed schedule needs a positive integer market count")
         return fixed
     raise ParameterDomainError(f"unknown schedule variant: {variant!r}")

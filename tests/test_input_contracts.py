@@ -11,7 +11,7 @@ from kmarkets import TabulatedPolicy, revenue_deficiency, uniform_strategy
 from kmarkets import PowerSimulated, crossing_scan, deficiency_curve, kmarkets_strategy
 from kmarkets import k_markets_erm, optimal_3pd_policy, sample
 from kmarkets import Packing, QuadratureConfig, concavity_margin, gilbert_varshamov
-from kmarkets import empirical_demand, uniform_erm, validate_density
+from kmarkets import KMarkets, empirical_demand, k_schedule, uniform_erm, validate_density
 from kmarkets.cli import main
 from kmarkets.experiment import _plan_chunks
 
@@ -159,6 +159,21 @@ def test_market_count_must_be_an_integer(k):
         kmarkets_strategy(k=k)
     with pytest.raises(ParameterDomainError, match="integer"):
         k_markets_erm(sample(UniformJoint(), 16, 1), k)
+
+
+@pytest.mark.parametrize("k", [2.0, 2.5])
+def test_step_rule_market_count_must_be_an_integer(k):
+    with pytest.raises(ParameterDomainError, match="integer"):
+        KMarkets(k, (0.1, 0.2))
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(10.0, "theory"), (10.5, "sim"), ("10", "ebay"), (10, "fixed", 2.5), (10, "fixed", 2.0)],
+)
+def test_schedule_counts_must_be_integers(args):
+    with pytest.raises(ParameterDomainError, match="integer"):
+        k_schedule(*args)
 
 
 @pytest.mark.parametrize("size", [2.5, 1025.0])
