@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import math
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -87,18 +88,15 @@ def read_curve(path) -> list[DeficiencyPoint]:
             if not row:
                 continue
             try:
-                points.append(
-                    DeficiencyPoint(
-                        n=int(row[0]),
-                        strategy_tag=row[1],
-                        mean_deficiency=float(row[2]),
-                        std_error=float(row[3]),
-                        reps=int(row[4]),
-                        mean_revenue=float(row[5]),
-                    )
-                )
-            except (ValueError, IndexError):
-                raise IngestError(f"line {line_no}: malformed curve row") from None
+                n, tag, mean, se, reps, revenue = row  # a short or a long row fails here too
+                point = DeficiencyPoint(int(n), tag, float(mean), float(se), int(reps), float(revenue))
+            except ValueError:
+                raise IngestError(f"line {line_no}: malformed curve row of {len(row)} cells") from None
+            if point.n < 1 or point.reps < 1:
+                raise IngestError(f"line {line_no}: n and reps must be >= 1")
+            if not all(map(math.isfinite, (point.mean_deficiency, point.std_error, point.mean_revenue))):
+                raise IngestError(f"line {line_no}: non-finite number")
+            points.append(point)
     if not points:
         raise IngestError("curve file has no data rows")
     return points

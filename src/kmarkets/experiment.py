@@ -9,8 +9,8 @@ ERM, the pointwise optimal policy for K-markets.
 
 Replications run in blocks of R = max(1, BATCH // n) seeds.  Each seed's
 dataset is sampled on its own; the block is stacked into (R, n) arrays,
-fitted row by row in one array pass (``pricing.uniform_erm_rows``,
-``pricing.k_markets_erm_rows``) and integrated about BATCH quadrature nodes
+fitted row by row by one countdown (``pricing.k_markets_erm_rows``, which
+uniform ERM asks for one market) and integrated about BATCH quadrature nodes
 at a time (``oracle.integrate_rows``).  Every row goes through the same
 arithmetic as a lone replication, so the block size does not change a bit
 either; it only removes per-replication Python overhead at small n.
@@ -41,7 +41,7 @@ from .oracle import (
     pointwise_revenue,
     welfare,
 )
-from .pricing import Constant, k_markets_erm_rows, k_schedule, uniform_erm_rows
+from .pricing import Constant, k_markets_erm_rows, k_schedule
 
 SEED_STRIDE = 1 << 32  # seed offset between consecutive curve points
 # Elements per batched array: (R, n) sample blocks and evaluation blocks.
@@ -71,6 +71,12 @@ class Strategy:
             raise ParameterDomainError("market count must be a positive integer")
         if self.schedule is not None and self.schedule not in ("theory", "sim", "ebay"):
             raise ParameterDomainError(f"unknown schedule variant: {self.schedule!r}")
+
+    def market_count(self, n: int) -> int:
+        """Market count to fit at sample size n: uniform ERM is the one-market ERM."""
+        if self.kind == "uniform":
+            return 1
+        return self.k if self.k is not None else k_schedule(n, self.schedule)
 
     @property
     def tag(self) -> str:
@@ -104,20 +110,6 @@ class RateFit:
     slope: float
     intercept: float
     r_squared: float
-
-
-def _fit(strategy: Strategy, x, y):
-    """Fit the strategy to each row of (R, n) samples.
-
-    Yields (rows, prices) per group of rows sharing a market count k:
-    the row indices and their (len(rows), k) step-rule prices.
-    """
-    if strategy.kind == "uniform":
-        yield np.arange(len(y)), uniform_erm_rows(y)[:, None]
-        return
-    k = strategy.k if strategy.k is not None else k_schedule(y.shape[1], strategy.schedule)
-    for rows, prices, _ in k_markets_erm_rows(x, y, k):
-        yield rows, prices
 
 
 def _integrals(spec, prices, cfg, integrands):
@@ -176,7 +168,7 @@ def _rep_chunk(args):
         else:
             x, y = np.stack([d.x for d in data]), np.stack([d.y for d in data])
         for a, (strategy, metric, bench) in enumerate(arms):
-            for rows, prices in _fit(strategy, x, y):
+            for rows, prices in k_markets_erm_rows(x, y, strategy.market_count(n)):
                 out[a][:, start + rows] = metric(spec, prices, cfg, bench)
     return out
 
@@ -353,8 +345,11 @@ def fit_rate(curve: Sequence[DeficiencyPoint]) -> RateFit:
     means = np.array([p.mean_deficiency for p in curve], dtype=float)
     if len(set(ns)) != len(ns):
         raise ParameterDomainError("rate fit needs distinct sample sizes")
-    if means.min() <= 0.0:
-        raise ParameterDomainError("rate fit needs strictly positive mean deficiencies")
+    if ns.min() < 1.0:
+        raise ParameterDomainError("rate fit needs sample sizes >= 1")
+    # Written so that NaN fails the check.
+    if not (0.0 < means.min() and means.max() < np.inf):
+        raise ParameterDomainError("rate fit needs finite, strictly positive mean deficiencies")
     lx, ly = np.log(ns), np.log(means)
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)

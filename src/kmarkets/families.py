@@ -196,7 +196,7 @@ class PowerSimulated(DistributionSpec):
         return y ** (x + 1.0)
 
     def ppf(self, u, x):
-        u, x = np.broadcast_arrays(np.asarray(u, float), np.asarray(x, float))
+        u, x = np.asarray(u, float), np.asarray(x, float)
         return u ** (1.0 / (x + 1.0))
 
     def partial_expectation(self, p, x):

@@ -54,8 +54,8 @@ def ingest(path, has_header: bool = True) -> tuple[Dataset, IngestReport]:
 
     Raises IngestError on a missing column, on a non-numeric, non-finite or
     negative bid or a non-numeric or non-finite rating (reported with its
-    line number), or when no usable rows remain.  Negative ratings are
-    legitimate feedback scores and are kept.
+    line number), on a rating range that overflows, or when no usable rows
+    remain.  Negative ratings are legitimate feedback scores and are kept.
     """
     best: dict[str, tuple[float, float]] = {}  # bidder -> (highest bid, rating of that row)
     rows_read = 0
@@ -98,13 +98,17 @@ def ingest(path, has_header: bool = True) -> tuple[Dataset, IngestReport]:
         raise IngestError("no usable rows in input")
     bids = np.array([b for b, _ in best.values()])
     ratings = np.array([r for _, r in best.values()])
+    # Bids are finite and non-negative, so only ratings can span more than a float.
+    lo, hi = float(ratings.min()), float(ratings.max())
+    if not math.isfinite(hi - lo):
+        raise IngestError(f"rating range [{lo!r}, {hi!r}] is too wide to normalize")
     data = Dataset(y=_normalize(bids), x=_normalize(ratings))
     report = IngestReport(
         rows_read=rows_read,
         bidders_kept=len(best),
         y_min=float(bids.min()),
         y_max=float(bids.max()),
-        x_min=float(ratings.min()),
-        x_max=float(ratings.max()),
+        x_min=lo,
+        x_max=hi,
     )
     return data, report

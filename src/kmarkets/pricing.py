@@ -118,14 +118,11 @@ def _market_prices(y, bins, counts):
     contributes its m[i] values in turn), padded with 2.0 to the largest
     count when the rows' counts differ, sorted and priced by _erm_sorted:
     values are sorted, never indices, and each only within its own market.
-    Returns the prices and, per market, the flat indices it gathered.
     """
     prices = np.empty(counts.shape)
-    markets = []
     for b, (low, width) in enumerate(zip(counts.min(axis=0).tolist(), counts.max(axis=0).tolist())):
         # flatnonzero and take, not y[mask]: boolean indexing branches per element.
-        markets.append(np.flatnonzero(bins == b))
-        seg = np.take(y, markets[b])
+        seg = np.take(y, np.flatnonzero(bins == b))
         m = width
         if low < width:
             m = counts[:, b : b + 1]
@@ -135,22 +132,22 @@ def _market_prices(y, bins, counts):
         seg = seg.reshape(len(counts), width)
         seg.sort(axis=1)
         prices[:, b] = _erm_sorted(seg, m)
-    return prices, markets
+    return prices
 
 
 def k_markets_erm_rows(x, y, k: int):
     """K-markets ERM of each row of (R, n) covariates x and valuations y.
 
     Each row runs the empty-bin countdown of ``k_markets_erm`` on its own.
-    Yields (rows, prices, markets) once per effective market count k_eff,
-    largest first: the indices of the rows with that count, their
-    (len(rows), k_eff) prices and, per market, the flat indices of its
-    points in those rows' (len(rows), n) block.
+    Yields (rows, prices) once per effective market count k_eff, largest
+    first: the indices of the rows with that count and their
+    (len(rows), k_eff) prices.  The one-market step is uniform ERM on the
+    unbinned rows.
     """
     rows = np.arange(x.shape[0])
     # Bins beyond the sample size are guaranteed to leave one empty, so the
     # countdown can start at min(k, n) without changing the result.
-    for k_eff in range(min(k, x.shape[1]), 0, -1):
+    for k_eff in range(min(k, x.shape[1]), 1, -1):
         # floor(min(x k, k - 1)) == min(floor(x k), k - 1), held in the
         # smallest dtype that also holds the per-row bincount keys.
         scaled = x * k_eff
@@ -159,13 +156,14 @@ def k_markets_erm_rows(x, y, k: int):
         bins = scaled.astype(key)
         keys = bins + np.arange(0, rows.size * k_eff, k_eff, dtype=key)[:, None]
         counts = np.bincount(keys.ravel(), minlength=rows.size * k_eff).reshape(-1, k_eff)
-        full = counts.all(axis=1)  # always true at k_eff = 1
+        full = counts.all(axis=1)
         if full.all():
-            yield rows, *_market_prices(y, bins, counts)
+            yield rows, _market_prices(y, bins, counts)
             return
         if full.any():
-            yield rows[full], *_market_prices(y[full], bins[full], counts[full])
+            yield rows[full], _market_prices(y[full], bins[full], counts[full])
         rows, x, y = rows[~full], x[~full], y[~full]
+    yield rows, uniform_erm_rows(y)[:, None]
 
 
 def k_markets_erm(data: Dataset, k: int) -> tuple[PricingFunction, MarketPartition]:
@@ -178,9 +176,10 @@ def k_markets_erm(data: Dataset, k: int) -> tuple[PricingFunction, MarketPartiti
     """
     if not (isinstance(k, numbers.Integral) and k >= 1):
         raise ParameterDomainError("k must be an integer >= 1")
-    ((_, prices, markets),) = k_markets_erm_rows(data.x[None], data.y[None], k)
+    ((_, prices),) = k_markets_erm_rows(data.x[None], data.y[None], k)
     k_eff = prices.shape[1]
-    partition = MarketPartition(k_requested=k, k_effective=k_eff, markets=tuple(markets))
+    bins = np.minimum((data.x * k_eff).astype(int), k_eff - 1)
+    partition = MarketPartition(k, k_eff, tuple(np.flatnonzero(bins == b) for b in range(k_eff)))
     if k_eff == 1:
         return Constant(float(prices[0, 0])), partition
     return KMarkets(k=k_eff, prices=tuple(prices[0].tolist())), partition

@@ -30,12 +30,13 @@ from kmarkets import (
     k_schedule,
     kmarkets_strategy,
     price_at,
+    pricing,
     sample,
     uniform_strategy,
 )
 from kmarkets.families import _simpson_rule
 from kmarkets.oracle import partial_expectation, pointwise_revenue
-from kmarkets.pricing import k_markets_erm_rows
+from kmarkets.pricing import k_markets_erm_rows, uniform_erm_rows
 
 FAMILIES = [
     UniformJoint(),
@@ -142,14 +143,38 @@ def test_market_counts_at_the_key_dtype_boundaries(k):
     rows = [Dataset(y=rng.random(k), x=x) for _ in range(2)]
     pf, part = k_markets_erm(rows[0], k)
     assert part.k_effective == k and pf == _reference_fit(kmarkets_strategy(k=k), rows[0])
-    ((_, prices, _),) = k_markets_erm_rows(np.stack([x, x]), np.stack([d.y for d in rows]), k)
+    ((_, prices),) = k_markets_erm_rows(np.stack([x, x]), np.stack([d.y for d in rows]), k)
     assert [tuple(p) for p in prices.tolist()] == [_reference_fit(kmarkets_strategy(k=k), d).prices for d in rows]
+
+
+@pytest.mark.parametrize(
+    "k, x",
+    [
+        (1, np.random.default_rng(1).random((5, 40))),  # one market asked for
+        (4, np.random.default_rng(2).random((5, 1))),  # n < k
+        (4, np.random.default_rng(3).random((5, 40)) / 4),  # every x in [0, 1/4)
+    ],
+)
+def test_the_one_market_step_is_uniform_erm(monkeypatch, k, x):
+    # Rows that count down to one market are priced by the uniform kernel on
+    # their own valuations: nothing is binned or gathered at that step.
+    def no_gather(*args):
+        raise AssertionError("the one-market step gathered markets")
+
+    y = np.random.default_rng(4).random(x.shape)
+    monkeypatch.setattr(pricing, "_market_prices", no_gather)
+    groups = list(k_markets_erm_rows(x, y, k))
+    rows, prices = groups[-1]
+    assert len(groups) == 1 and rows.tolist() == list(range(len(x)))
+    assert prices.shape == (len(x), 1) and prices.tobytes() == uniform_erm_rows(y)[:, None].tobytes()
+    pf, part = k_markets_erm(Dataset(y=y[0], x=x[0]), k)
+    assert pf == Constant(float(prices[0, 0])) and part.markets[0].tolist() == list(range(x.shape[1]))
 
 
 @pytest.mark.parametrize("shape", [(64, 1), (7, 4, 1), (3, 13, 1)])
 def test_power_family_temporaries_keep_the_broadcast_bits(shape):
     # x + 1.0 and x + 2.0 on x's own shape give the numbers the broadcast
-    # arrays gave, for the blocks the oracles and the engine evaluate.
+    # arrays gave, for the blocks the oracles, the engine and sample evaluate.
     k = shape[1] if len(shape) == 3 else 1
     xs = _simpson_rule(1024, k)[0]
     ys = np.random.default_rng(1).random(shape)
@@ -159,17 +184,18 @@ def test_power_family_temporaries_keep_the_broadcast_bits(shape):
     assert power.conditional_density(ys, xs).tobytes() == ((xb + 1.0) * yb**xb).tobytes()
     want = (xb + 1.0) / (xb + 2.0) * (1.0 - yb ** (xb + 2.0))
     assert power.partial_expectation(ys, xs).tobytes() == want.tobytes()
+    assert power.ppf(ys, xs).tobytes() == (yb ** (1.0 / (xb + 1.0))).tobytes()
 
 
 def _block_shapes(monkeypatch, n, reps):
     shapes = []
-    rows = experiment.uniform_erm_rows
+    rows = pricing.uniform_erm_rows
 
     def recording(y):
         shapes.append(y.shape)
         return rows(y)
 
-    monkeypatch.setattr(experiment, "uniform_erm_rows", recording)
+    monkeypatch.setattr(pricing, "uniform_erm_rows", recording)
     arms = ((uniform_strategy(), experiment._revenue_gap, 0.3),)
     experiment._rep_chunk((PowerSimulated(), n, list(range(reps)), QuadratureConfig(x_panels=8), arms))
     return shapes

@@ -57,6 +57,11 @@ def test_fit_rate_rejects_bad_input():
         fit_rate([_mk(100, 0.1), _mk(100, 0.1), _mk(200, 0.05)])
     with pytest.raises(ParameterDomainError):
         fit_rate([_mk(100, 0.1), _mk(200, 0.0), _mk(400, 0.01)])
+    # Checked before the logs: nan and inf would fit to nan, and n <= 0 to a
+    # failed least-squares solve.
+    for n, mean in [(200, math.nan), (200, math.inf), (0, 0.05), (-5, 0.05)]:
+        with pytest.raises(ParameterDomainError, match="finite|>= 1"):
+            fit_rate([_mk(100, 0.1), _mk(n, mean), _mk(400, 0.01)])
 
 
 def test_strategy_validation():

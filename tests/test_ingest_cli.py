@@ -94,6 +94,14 @@ def test_row_errors_carry_line_numbers(tmp_path):
         ingest(p)
 
 
+def test_a_rating_range_wider_than_a_float_is_named(tmp_path):
+    # Both ratings are finite, but their span overflows: the error names
+    # the input range, not the NaN the normalization would make of it.
+    p = _write(tmp_path, "a1,2,b1,-1e308\na1,4,b2,1e308\n")
+    with pytest.raises(IngestError, match=r"rating range \[-1e\+308, 1e\+308\] is too wide"):
+        ingest(p)
+
+
 def test_row_order_does_not_move_prices(tmp_path):
     rows = [f"a{i},{b},b{i},{r}" for i, (b, r) in enumerate([(3, 5), (8, 1), (6, 9), (2, 2), (7, 7)])]
     p1 = _write(tmp_path, "\n".join(rows) + "\n", name="fwd.csv")
@@ -203,6 +211,32 @@ def test_read_curve_errors(tmp_path):
     )
     with pytest.raises(IngestError, match="line 2: malformed curve row"):
         read_curve(bad_row)
+
+
+CURVE_HEADER = "n,strategy,mean_deficiency,std_error,reps,mean_revenue\n"
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("128,uniform,nan,0,5,0.3", "line 3: non-finite number"),
+        ("128,uniform,0.05,inf,5,0.3", "line 3: non-finite number"),
+        ("128,uniform,0.05,0,5,-inf", "line 3: non-finite number"),
+        ("0,uniform,0.05,0,5,0.3", "line 3: n and reps must be >= 1"),
+        ("-5,uniform,0.05,0,5,0.3", "line 3: n and reps must be >= 1"),
+        ("128,uniform,0.05,0,0,0.3", "line 3: n and reps must be >= 1"),
+        ("128,uniform,0.05,0,5,0.3,7", "line 3: malformed curve row of 7 cells"),
+        ("128,uniform,0.05,0,5", "line 3: malformed curve row of 5 cells"),
+    ],
+)
+def test_cli_rates_rejects_bad_curve_rows(tmp_path, capsys, row, message):
+    curve = tmp_path / "curve.csv"
+    curve.write_text(CURVE_HEADER + "64,uniform,0.1,0,5,0.3\n" + row + "\n256,uniform,0.01,0,5,0.3\n")
+    with pytest.raises(IngestError, match=message):
+        read_curve(curve)
+    assert main(["rates", "--curve", str(curve)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and message in err
 
 
 def test_cli_exit_codes(capsys):
