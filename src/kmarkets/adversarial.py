@@ -60,14 +60,19 @@ class SupportViolationError(ValueError):
     """Raised when a KL reference density vanishes on the integration grid."""
 
 
-def _simpson_2d(func, cfg: QuadratureConfig) -> float:
+def _simpson_2d(func, cfg: QuadratureConfig, *specs) -> float:
     """Iterated Simpson over the unit square, BLOCK x-nodes at a time to bound memory.
 
-    func(y, x) must broadcast.  The block width fixes how the float sum is
-    grouped, so changing BLOCK moves divergence values in the last digits.
+    func(y, x) must broadcast.  When every spec is x-independent the x rule
+    is the one node x = 1/2 with weight 1, and cfg.x_panels is unused.  The
+    block width fixes how the float sum is grouped, so changing BLOCK moves
+    divergence values in the last digits.
     """
     ys, wy = _simpson_rule(cfg.y_panels)
-    xs, wx = _simpson_rule(cfg.x_panels)
+    if all(getattr(spec, "x_independent", False) for spec in specs):
+        xs, wx = np.full((1, 1), 0.5), np.ones(1)
+    else:
+        xs, wx = _simpson_rule(cfg.x_panels)
     total = 0.0
     for start in range(0, wx.size, BLOCK):
         vals = func(ys.T, xs[:, start : start + BLOCK])
@@ -80,14 +85,17 @@ def hellinger_sq(
     spec2: DistributionSpec,
     cfg: QuadratureConfig = DEFAULT_QUAD,
 ) -> float:
-    """Squared Hellinger distance between two joint laws on the unit square."""
+    """Squared Hellinger distance between two joint laws on the unit square.
+
+    cfg.x_panels is unused when both laws are x-independent.
+    """
 
     def integrand(y, x):
         root1 = np.sqrt(spec1.conditional_density(y, x))
         root2 = np.sqrt(spec2.conditional_density(y, x))
         return (root1 - root2) ** 2
 
-    return max(_simpson_2d(integrand, cfg), 0.0)
+    return max(_simpson_2d(integrand, cfg, spec1, spec2), 0.0)
 
 
 def kl_divergence(
@@ -99,6 +107,7 @@ def kl_divergence(
 
     Errors out if spec2's density is not strictly positive somewhere on the
     integration grid, rather than returning an unreliable number.
+    cfg.x_panels is unused when both laws are x-independent.
     """
     ref_min = math.inf  # smallest spec2 density seen by the integration pass
 
@@ -111,7 +120,7 @@ def kl_divergence(
             term = f1 * np.log(f1 / f2)
         return np.where(f1 > 0.0, term, 0.0)
 
-    value = _simpson_2d(integrand, cfg)
+    value = _simpson_2d(integrand, cfg, spec1, spec2)
     if ref_min <= 0.0:
         raise SupportViolationError(
             f"reference density reaches {ref_min} on the integration grid"

@@ -357,7 +357,7 @@ def _build_parser() -> _Parser:
     p = advsub.add_parser("hellinger", help="marginal perturbation divergences")
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--delta", type=float, required=True)
-    _add_quad_args(p, "yx")
+    _add_quad_args(p, "y")
     p.set_defaults(func=_cmd_adv_hellinger)
 
     p = advsub.add_parser("kl", help="KL between two packing laws")

@@ -67,6 +67,8 @@ class Strategy:
             raise ParameterDomainError("strategy kind must be 'uniform' or 'kmarkets'")
         if self.kind == "kmarkets" and (self.k is None) == (self.schedule is None):
             raise ParameterDomainError("kmarkets needs exactly one of k or schedule")
+        if self.kind == "uniform" and (self.k is not None or self.schedule is not None):
+            raise ParameterDomainError("uniform is the one-market ERM: it takes no k or schedule")
         if self.k is not None and not (isinstance(self.k, numbers.Integral) and self.k >= 1):
             raise ParameterDomainError("market count must be a positive integer")
         if self.schedule is not None and self.schedule not in ("theory", "sim", "ebay"):
@@ -292,6 +294,8 @@ def _curves(spec, arms, ns, reps, base_seed, cfg, workers):
         raise ParameterDomainError("need a positive integer number of replications")
     if not (isinstance(workers, numbers.Integral) and workers >= 1):
         raise ParameterDomainError("need a positive integer number of workers")
+    if not (isinstance(base_seed, numbers.Integral) and base_seed >= 0):
+        raise ParameterDomainError(f"seed must be a non-negative integer, got {base_seed!r}")
     ns = _check_n_list(ns)
     benched = tuple((strategy, metric, benchmark(spec, strategy, cfg)) for strategy, (benchmark, metric) in arms)
     chunks = _plan_chunks(reps, workers)

@@ -141,7 +141,8 @@ class DistributionSpec:
       of a 1-d grid, computed from the density rather than the CDF
 
     and may override two facts: ``x_independent`` (f(y|x) does not depend on
-    x, so x-averages are free) and ``y_knots`` (kinks of f in y, added to
+    x, so x-averages are free: the marginal CDF and the divergences between
+    two such laws skip the x rule) and ``y_knots`` (kinks of f in y, added to
     density-check grids).
     """
 
@@ -433,6 +434,8 @@ def sample(spec: DistributionSpec, n: int, seed: int) -> Dataset:
     """
     if not (isinstance(n, numbers.Integral) and n >= 1):
         raise ParameterDomainError("sample size must be an integer >= 1")
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ParameterDomainError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     x = rng.random(n)
     u = rng.random(n)

@@ -53,8 +53,8 @@ def ingest(path, has_header: bool = True) -> tuple[Dataset, IngestReport]:
     """Read an auction CSV and return per-bidder (valuation, covariate) data.
 
     Raises IngestError on a missing column, on a non-numeric, non-finite or
-    negative bid or a non-numeric or non-finite rating (reported with its
-    line number), on a rating range that overflows, or when no usable rows
+    negative bid, a non-numeric or non-finite rating or a blank bidder_id
+    (reported with its line number), on a rating range that overflows, or when no usable rows
     remain.  Negative ratings are legitimate feedback scores and are kept.
     """
     best: dict[str, tuple[float, float]] = {}  # bidder -> (highest bid, rating of that row)
@@ -91,6 +91,8 @@ def ingest(path, has_header: bool = True) -> tuple[Dataset, IngestReport]:
                 raise IngestError(f"line {line_no}: non-finite rating")
             rows_read += 1
             bidder = row[col_idx["bidder_id"]].strip()
+            if not bidder:
+                raise IngestError(f"line {line_no}: blank bidder_id")
             prev = best.get(bidder)
             if prev is None or bid > prev[0]:
                 best[bidder] = (bid, rating)  # an update keeps the bidder's first-appearance slot

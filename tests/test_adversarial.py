@@ -8,6 +8,7 @@ import pytest
 from kmarkets import (
     Packing,
     ParameterDomainError,
+    PerturbedConditional,
     PerturbedUniform,
     QuadratureConfig,
     SupportViolationError,
@@ -23,6 +24,8 @@ from kmarkets import (
     phi_y,
 )
 from kmarkets.adversarial import HELLINGER_BOUND_COEF
+from kmarkets.families import _simpson_rule
+from kmarkets.oracle import BLOCK
 
 FAST_QUAD = QuadratureConfig(y_panels=2048, x_panels=16)
 
@@ -99,6 +102,71 @@ def test_kl_rejects_vanishing_reference():
 
     with pytest.raises(SupportViolationError):
         kl_divergence(UniformJoint(), Degenerate(), FAST_QUAD)
+
+
+def _full_rule(func, cfg):
+    """Iterated Simpson over every x column of cfg.x_panels, BLOCK columns at a time."""
+    ys, wy = _simpson_rule(cfg.y_panels)
+    xs, wx = _simpson_rule(cfg.x_panels)
+    total = 0.0
+    for start in range(0, wx.size, BLOCK):
+        vals = func(ys.T, xs[:, start : start + BLOCK])
+        total += float((wy @ vals) @ wx[start : start + BLOCK])
+    return total
+
+
+def _full_hellinger_sq(spec1, spec2, cfg):
+    def integrand(y, x):
+        return (np.sqrt(spec1.conditional_density(y, x)) - np.sqrt(spec2.conditional_density(y, x))) ** 2
+
+    return max(_full_rule(integrand, cfg), 0.0)
+
+
+def _full_kl(spec1, spec2, cfg):
+    def integrand(y, x):
+        f1, f2 = spec1.conditional_density(y, x), spec2.conditional_density(y, x)
+        return np.where(f1 > 0.0, f1 * np.log(f1 / f2), 0.0)
+
+    return _full_rule(integrand, cfg)
+
+
+X_INDEPENDENT_PAIRS = [
+    (UniformJoint(), PerturbedUniform(a=1.0, delta=0.05)),
+    (UniformJoint(), PerturbedUniform(a=-0.7, delta=0.1)),
+    (PerturbedUniform(a=1.9, delta=0.15), UniformJoint()),
+    (PerturbedUniform(a=0.4, delta=0.02), UniformJoint()),
+    (PerturbedUniform(a=1.0, delta=0.1), PerturbedUniform(a=-0.5, delta=0.08)),
+]
+
+
+@pytest.mark.parametrize("spec1, spec2", X_INDEPENDENT_PAIRS)
+def test_x_independent_divergences_use_one_column(spec1, spec2):
+    # Two x-independent laws: the x rule is one node, so x_panels changes no
+    # bit, and the value matches the full iterated rule to round-off.
+    for divergence, reference in ((hellinger_sq, _full_hellinger_sq), (kl_divergence, _full_kl)):
+        values = {
+            divergence(spec1, spec2, QuadratureConfig(y_panels=2048, x_panels=px)) for px in (8, 16, 1024)
+        }
+        assert len(values) == 1
+        (value,) = values
+        want = reference(spec1, spec2, QuadratureConfig(y_panels=2048, x_panels=1024))
+        assert value > 0.0
+        assert abs(value - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize(
+    "spec1, spec2",
+    [
+        (PerturbedConditional(a=1.0, delta=0.1, x0=0.5), UniformJoint()),
+        (Packing(m=8, a=1.2, alpha=(1, 0, 0, 0, 0, 0, 0, 1)), Packing(m=8, a=1.2, alpha=(0, 1, 1, 0, 0, 0, 0, 0))),
+    ],
+)
+def test_x_dependent_divergences_still_run_the_x_rule(spec1, spec2):
+    # 32 and 64 panels, not 8 and 16: those put every x node where the packing bumps vanish.
+    for divergence, reference in ((hellinger_sq, _full_hellinger_sq), (kl_divergence, _full_kl)):
+        coarse, fine = (QuadratureConfig(y_panels=2048, x_panels=px) for px in (32, 64))
+        assert 0.0 < divergence(spec1, spec2, coarse) != divergence(spec1, spec2, fine)
+        assert divergence(spec1, spec2, fine) == reference(spec1, spec2, fine)
 
 
 def test_marginal_perturbation_report():

@@ -30,7 +30,7 @@ SURFACE = {
     "rates": {"--curve", "--strategy"},
     "crossing": RUN | {"--k", "--quad-x"},
     "adversarial gv": {"--m"},
-    "adversarial hellinger": {"--a", "--delta", "--quad-y", "--quad-x"},
+    "adversarial hellinger": {"--a", "--delta", "--quad-y"},
     "adversarial kl": ALPHA_PAIR | {"--quad-y", "--quad-x"},
     "adversarial separation": ALPHA_PAIR | {"--grid"},
     "adversarial lemma-c3": {"--b", "--delta"},
@@ -50,9 +50,6 @@ ARGV = {
     "adversarial lemma-c3": ["--b", "1.0", "--delta", "0.1"],
 }
 QUAD_FLAGS = ("--quad-x", "--quad-y")
-# hellinger compares two laws that do not depend on x, so its x rule averages a
-# constant and --quad-x moves only round-off; the flag stays for existing callers.
-ROUND_OFF_ONLY = {("adversarial hellinger", "--quad-x")}
 
 
 def _leaf_parsers(parser, prefix=()):
@@ -81,12 +78,12 @@ def test_every_command_registers_exactly_its_table_flags():
         for name, p in _leaf_parsers(_build_parser())
     }
     assert surface == SURFACE
-    assert sum(map(len, surface.values())) == 82
+    assert sum(map(len, surface.values())) == 81
 
 
 @pytest.mark.parametrize(
     "command, flag",
-    [(c, f) for c in ARGV for f in QUAD_FLAGS if f in SURFACE[c] and (c, f) not in ROUND_OFF_ONLY],
+    [(c, f) for c in ARGV for f in QUAD_FLAGS if f in SURFACE[c]],
 )
 def test_each_quadrature_flag_changes_the_output(tmp_path, capsys, command, flag):
     code16, out16 = _run(command, [flag, "16"], tmp_path, capsys)

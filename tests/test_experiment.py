@@ -78,6 +78,10 @@ def test_strategy_validation():
         kmarkets_strategy(k=0)
     with pytest.raises(ParameterDomainError):
         kmarkets_strategy(schedule="cubic")
+    with pytest.raises(ParameterDomainError):
+        Strategy(kind="uniform", k=3)  # uniform is one market; a count would be dropped
+    with pytest.raises(ParameterDomainError):
+        Strategy(kind="uniform", schedule="theory")
 
 
 def test_point_is_deterministic():

@@ -266,7 +266,7 @@ def test_cli_adversarial_outputs(capsys):
     assert "p_star=0.49" in out
 
     assert main(["adversarial", "hellinger", "--a", "1.0", "--delta", "0.05",
-                 "--quad-y", "512", "--quad-x", "16"]) == 0
+                 "--quad-y", "512"]) == 0
     out = capsys.readouterr().out
     assert "bound_satisfied=true" in out
     assert "analytic_bound=" in out

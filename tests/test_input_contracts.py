@@ -13,7 +13,7 @@ from kmarkets import k_markets_erm, optimal_3pd_policy, sample
 from kmarkets import Packing, QuadratureConfig, concavity_margin, gilbert_varshamov
 from kmarkets import KMarkets, empirical_demand, k_schedule, uniform_erm, validate_density
 from kmarkets.cli import main
-from kmarkets.experiment import _plan_chunks
+from kmarkets.experiment import _curves, _plan_chunks
 
 HEADER = "auction_id,bid,bidder_id,bidder_rating\n"
 
@@ -192,3 +192,47 @@ def test_density_check_grid_size_must_be_an_integer(size):
 def test_concavity_margin_grid_size_must_be_an_integer(grid_size):
     with pytest.raises(ParameterDomainError, match="grid_size"):
         concavity_margin(1.0, 0.05, grid_size)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.5, "3", None])
+def test_sample_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
+    with pytest.raises(ParameterDomainError, match="seed"):
+        sample(UniformJoint(), 10, seed)
+
+
+def test_sample_takes_a_numpy_integer_seed():
+    a, b = sample(UniformJoint(), 10, np.int64(7)), sample(UniformJoint(), 10, 7)
+    assert np.array_equal(a.y, b.y) and np.array_equal(a.x, b.x)
+
+
+@pytest.mark.parametrize("seed", [-1, 1.5])
+def test_curves_reject_a_bad_seed_before_any_benchmark(seed):
+    def benchmark(spec, strategy, cfg):
+        raise AssertionError("benchmark computed before the seed was checked")
+
+    with pytest.raises(ParameterDomainError, match="seed"):
+        _curves(UniformJoint(), [(uniform_strategy(), (benchmark, None))], [8, 16], 2, seed, None, 1)
+    with pytest.raises(ParameterDomainError, match="seed"):
+        revenue_deficiency(UniformJoint(), uniform_strategy(), 8, 2, seed)
+    with pytest.raises(ParameterDomainError, match="seed"):
+        crossing_scan(PowerSimulated(), [8, 16], 2, 2, seed)
+
+
+def test_cli_rejects_a_negative_seed(capsys):
+    argv = ["simulate", "--family", "uniform", "--strategy", "uniform", "--n", "8,16",
+            "--reps", "2", "--seed", "-1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "seed" in captured.err
+    assert captured.out == ""
+
+
+def test_blank_bidder_id_is_rejected(tmp_path, capsys):
+    path = tmp_path / "bids.csv"
+    path.write_text(HEADER + "a1,10,,5\n" + "a2,20,,7\n" + "a3,15,u1,3\n")
+    with pytest.raises(IngestError, match="line 2: blank bidder_id"):
+        ingest(path)
+    assert main(["price", "--input", str(path), "--k", "2"]) == 2
+    captured = capsys.readouterr()
+    assert "line 2: blank bidder_id" in captured.err
+    assert captured.out == ""
