@@ -64,14 +64,22 @@ def _simpson_2d(func, cfg: QuadratureConfig, *specs) -> float:
     """Iterated Simpson over the unit square, BLOCK x-nodes at a time to bound memory.
 
     func(y, x) must broadcast.  When every spec is x-independent the x rule
-    is the one node x = 1/2 with weight 1, and cfg.x_panels is unused.  The
-    block width fixes how the float sum is grouped, so changing BLOCK moves
-    divergence values in the last digits.
+    is the one node x = 1/2 with weight 1, and cfg.x_panels is unused.  A
+    Packing law needs at least 4 x panels per bin: at 2 per bin every node
+    sits on a bin edge or midpoint, where the bumps vanish, and the
+    divergence reads exactly 0.  The block width fixes how the float sum is
+    grouped, so changing BLOCK moves divergence values in the last digits.
     """
     ys, wy = _simpson_rule(cfg.y_panels)
     if all(getattr(spec, "x_independent", False) for spec in specs):
         xs, wx = np.full((1, 1), 0.5), np.ones(1)
     else:
+        for spec in specs:
+            if isinstance(spec, Packing) and cfg.x_panels < 4 * spec.m:
+                raise ParameterDomainError(
+                    f"x_panels={cfg.x_panels} is under 4 panels per bin for a packing of m={spec.m} bins;"
+                    f" use at least {4 * spec.m}"
+                )
         xs, wx = _simpson_rule(cfg.x_panels)
     total = 0.0
     for start in range(0, wx.size, BLOCK):

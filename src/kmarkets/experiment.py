@@ -7,13 +7,13 @@ time.  Deficiency is measured against the best policy of the strategy's own
 class under the true distribution: the optimal single price for uniform
 ERM, the pointwise optimal policy for K-markets.
 
-Replications run in blocks of R = max(1, BATCH // n) seeds.  Each seed's
-dataset is sampled on its own; the block is stacked into (R, n) arrays,
-fitted row by row by one countdown (``pricing.k_markets_erm_rows``, which
-uniform ERM asks for one market) and integrated about BATCH quadrature nodes
-at a time (``oracle.integrate_rows``).  Every row goes through the same
-arithmetic as a lone replication, so the block size does not change a bit
-either; it only removes per-replication Python overhead at small n.
+Replications run in blocks of R = max(1, BATCH // n) seeds (``oracle.BATCH``).
+Each seed's dataset is sampled on its own; the block is stacked into (R, n)
+arrays, fitted row by row by one countdown (``pricing.k_markets_erm_rows``,
+which uniform ERM asks for one market) and integrated by the one policy
+integrator, ``oracle.integrate_rows``, about BATCH nodes at a time.  Every
+row goes through the same arithmetic as a lone replication, so no block size
+changes a bit; blocks only remove per-replication Python overhead at small n.
 """
 
 from __future__ import annotations
@@ -28,8 +28,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .families import DistributionSpec, ParameterDomainError, _simpson_rule, sample
+from .families import DistributionSpec, ParameterDomainError, sample
 from .oracle import (
+    BATCH,
     DEFAULT_QUAD,
     QuadratureConfig,
     _scan_then_refine,
@@ -44,10 +45,6 @@ from .oracle import (
 from .pricing import Constant, k_markets_erm_rows, k_schedule
 
 SEED_STRIDE = 1 << 32  # seed offset between consecutive curve points
-# Elements per batched array: (R, n) sample blocks and evaluation blocks.
-# 8192 float64 are 64 KB, under glibc's 128 KB mmap threshold, so the
-# blocks come from the heap instead of faulting in fresh pages each time.
-BATCH = 8192
 
 
 @dataclass(frozen=True)
@@ -114,29 +111,13 @@ class RateFit:
     r_squared: float
 
 
-def _integrals(spec, prices, cfg, integrands):
-    """Integrals of each integrand for every row of (rows, k) step-rule prices.
-
-    Rows are integrated in blocks of about BATCH quadrature nodes, so the
-    temporaries stay small; each row's bits do not depend on its block.
-    Returns one (rows,) array per integrand.
-    """
-    nodes, w = _simpson_rule(cfg.x_panels, prices.shape[1])
-    step = max(1, BATCH // nodes.size)
-    out = np.empty((len(integrands), len(prices)))
-    for start in range(0, len(prices), step):
-        block = prices[start : start + step, :, None]
-        out[:, start : start + step] = integrate_rows(spec, block, nodes, w, integrands)
-    return out
-
-
 def _revenue_gap(spec, prices, cfg, bench):
-    (r,) = _integrals(spec, prices, cfg, (pointwise_revenue,))
+    (r,) = integrate_rows(spec, prices[:, :, None], cfg, (pointwise_revenue,))
     return bench - r, r
 
 
 def _welfare_gap(spec, prices, cfg, bench):
-    w, r = _integrals(spec, prices, cfg, (partial_expectation, pointwise_revenue))
+    w, r = integrate_rows(spec, prices[:, :, None], cfg, (partial_expectation, pointwise_revenue))
     return np.abs(w - bench), r
 
 

@@ -20,6 +20,10 @@ from .pricing import PricingFunction, price_at
 
 GRID_POINTS = 4097  # scan grid for all price maximizations
 BLOCK = 64  # covariate columns (or price rows) evaluated at once by a grid scan
+# Elements per batched array: (R, n) sample blocks and integrate_rows blocks.
+# 8192 float64 are 64 KB, under glibc's 128 KB mmap threshold, so the
+# blocks come from the heap instead of faulting in fresh pages each time.
+BATCH = 8192
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
@@ -169,32 +173,36 @@ def optimal_3pd_policy(
     return TabulatedPolicy(x_grid=xs, prices=prices)
 
 
-def integrate_rows(spec, prices, nodes, w, integrands):
+def integrate_rows(spec, prices, cfg: QuadratureConfig, integrands) -> np.ndarray:
     """Simpson-integrate each integrand(spec, prices, xs) against the covariate law.
 
-    (nodes, w) is a ``_simpson_rule`` of k markets, and prices broadcasts
-    against nodes with one leading row per policy: (rows, k, 1) for step
-    rules with k markets, (1, 1, m + 1) for a tabulated policy on nodes.
-    Each row's integrand is its own (k, m + 1) matrix-vector product, so a
-    row integrates to the same bits alone or in a block of rows.  Returns
-    one (rows,) array per integrand.
+    prices has one leading row per policy and broadcasts against the nodes of
+    ``_simpson_rule(cfg.x_panels, k)``, k = prices.shape[1]: (rows, k, 1) for
+    step rules, (1, 1, m + 1) for a tabulated policy priced at the one-market
+    nodes.  Rows run in blocks of about BATCH nodes; each row's integrand is
+    its own (k, m + 1) matrix-vector product, so a row integrates to the same
+    bits alone or in any block.  Returns a (len(integrands), rows) array.
     """
-    return [(f(spec, prices, nodes) @ w).sum(axis=1) / nodes.shape[0] for f in integrands]
+    nodes, w = _simpson_rule(cfg.x_panels, prices.shape[1])
+    step = max(1, BATCH // nodes.size)
+    out = np.empty((len(integrands), len(prices)))
+    for start in range(0, len(prices), step):
+        block = prices[start : start + step]
+        out[:, start : start + step] = [(f(spec, block, nodes) @ w).sum(axis=1) for f in integrands]
+    return out / nodes.shape[0]
 
 
 def _integrate_policy(spec, pf, cfg, integrand):
-    """One policy's case of integrate_rows.
+    """One policy as one row of integrate_rows.
 
-    A step rule (a Constant is one market) is integrated market by market, so its
-    price steps land on panel boundaries; a tabulated policy is one market.
+    A step rule (a Constant is one market) is priced market by market; a
+    tabulated policy is one market priced at the one-market nodes.
     """
     if isinstance(pf, PricingFunction):
-        nodes, w = _simpson_rule(cfg.x_panels, pf.k)
         prices = np.asarray(pf.prices, dtype=float)[None, :, None]
     else:
-        nodes, w = _simpson_rule(cfg.x_panels)
-        prices = price_at(pf, nodes)[None]
-    return float(integrate_rows(spec, prices, nodes, w, (integrand,))[0][0])
+        prices = price_at(pf, _simpson_rule(cfg.x_panels)[0])[None]
+    return float(integrate_rows(spec, prices, cfg, (integrand,))[0, 0])
 
 
 def expected_revenue(

@@ -284,3 +284,40 @@ def test_concavity_margin():
     for b in (-1.0, 1.0):
         for d in (0.005, 0.02):
             assert concavity_margin(b, d) <= -1.0 + 1e-3
+
+
+@pytest.mark.parametrize("m, panels", [(8, 16), (8, 24), (32, 64), (32, 96)])
+def test_packing_rejects_an_x_rule_under_four_panels_per_bin(m, panels):
+    # At 2 panels per bin every x node sits where the bumps vanish: the divergence read exactly 0.
+    bump = Packing(m=m, a=1.0, alpha=(1,) + (0,) * (m - 1))
+    cfg = QuadratureConfig(y_panels=256, x_panels=panels)
+    for divergence in (hellinger_sq, kl_divergence):
+        with pytest.raises(ParameterDomainError, match=f"x_panels={panels} .* m={m} bins"):
+            divergence(bump, UniformJoint(), cfg)
+    with pytest.raises(ParameterDomainError):
+        kl_divergence(UniformJoint(), bump, cfg)
+
+
+@pytest.mark.parametrize("m", [8, 32])
+def test_packing_runs_at_four_panels_per_bin(m):
+    bump = Packing(m=m, a=1.0, alpha=(1,) + (0,) * (m - 1))
+    cfg = QuadratureConfig(y_panels=256, x_panels=4 * m)
+    assert hellinger_sq(bump, UniformJoint(), cfg) > 0.0
+    assert kl_divergence(bump, Packing(m=m, a=1.0, alpha=(0,) * m), cfg) > 0.0
+
+
+def test_a_duck_typed_spec_runs_any_x_rule():
+    class Bumped:  # no x_independent flag and no bin count: the full x rule at 8 panels
+        def conditional_density(self, y, x):
+            return 1.0 + 0.5 * phi_y(4.0 * (np.asarray(y) - 0.5)) * phi_x(np.asarray(x))
+
+    assert hellinger_sq(Bumped(), UniformJoint(), QuadratureConfig(y_panels=256, x_panels=8)) > 0.0
+
+
+def test_cli_kl_exits_2_on_an_aliasing_x_rule(capsys):
+    from kmarkets.cli import main
+
+    assert main(["adversarial", "kl", "--m", "32", "--a", "1.0", "--quad-x", "64"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "x_panels=64" in captured.err and "m=32" in captured.err
