@@ -65,9 +65,9 @@ def _simpson_2d(func, cfg: QuadratureConfig, *specs) -> float:
 
     func(y, x) must broadcast.  When every spec is x-independent the x rule
     is the one node x = 1/2 with weight 1, and cfg.x_panels is unused.  A
-    Packing law needs at least 4 x panels per bin: at 2 per bin every node
-    sits on a bin edge or midpoint, where the bumps vanish, and the
-    divergence reads exactly 0.  The block width fixes how the float sum is
+    Packing law of m bins rejects an x rule whose panel count divides 2m:
+    then every node sits on a bin edge or midpoint, where the bumps vanish,
+    and the divergence would read exactly 0.  The block width fixes how the float sum is
     grouped, so changing BLOCK moves divergence values in the last digits.
     """
     ys, wy = _simpson_rule(cfg.y_panels)
@@ -75,10 +75,10 @@ def _simpson_2d(func, cfg: QuadratureConfig, *specs) -> float:
         xs, wx = np.full((1, 1), 0.5), np.ones(1)
     else:
         for spec in specs:
-            if isinstance(spec, Packing) and cfg.x_panels < 4 * spec.m:
+            if isinstance(spec, Packing) and (2 * spec.m) % cfg.x_panels == 0:
                 raise ParameterDomainError(
-                    f"x_panels={cfg.x_panels} is under 4 panels per bin for a packing of m={spec.m} bins;"
-                    f" use at least {4 * spec.m}"
+                    f"x_panels={cfg.x_panels} divides 2m={2 * spec.m} for a packing of m={spec.m} bins:"
+                    " every x node lands where the bumps vanish"
                 )
         xs, wx = _simpson_rule(cfg.x_panels)
     total = 0.0

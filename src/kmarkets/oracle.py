@@ -201,7 +201,7 @@ def _integrate_policy(spec, pf, cfg, integrand):
     if isinstance(pf, PricingFunction):
         prices = np.asarray(pf.prices, dtype=float)[None, :, None]
     else:
-        prices = price_at(pf, _simpson_rule(cfg.x_panels)[0])[None]
+        prices = price_at(pf, _simpson_rule(cfg.x_panels, 1)[0])[None]
     return float(integrate_rows(spec, prices, cfg, (integrand,))[0, 0])
 
 

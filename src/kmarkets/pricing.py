@@ -178,10 +178,8 @@ def k_markets_erm(data: Dataset, k: int) -> tuple[PricingFunction, MarketPartiti
         raise ParameterDomainError("k must be an integer >= 1")
     ((_, prices),) = k_markets_erm_rows(data.x[None], data.y[None], k)
     k_eff = prices.shape[1]
-    # One stable sort of the small-int bins lists every market's indices in order.
-    bins = np.minimum(data.x * k_eff, k_eff - 1).astype(np.min_scalar_type(k_eff - 1))
-    markets = np.split(np.argsort(bins, kind="stable"), np.cumsum(np.bincount(bins, minlength=k_eff))[:-1])
-    partition = MarketPartition(k, k_eff, tuple(markets))
+    bins = np.minimum((data.x * k_eff).astype(int), k_eff - 1)
+    partition = MarketPartition(k, k_eff, tuple(np.flatnonzero(bins == b) for b in range(k_eff)))
     if k_eff == 1:
         return Constant(float(prices[0, 0])), partition
     return KMarkets(k=k_eff, prices=tuple(prices[0].tolist())), partition

@@ -286,9 +286,9 @@ def test_concavity_margin():
             assert concavity_margin(b, d) <= -1.0 + 1e-3
 
 
-@pytest.mark.parametrize("m, panels", [(8, 16), (8, 24), (32, 64), (32, 96)])
-def test_packing_rejects_an_x_rule_under_four_panels_per_bin(m, panels):
-    # At 2 panels per bin every x node sits where the bumps vanish: the divergence read exactly 0.
+@pytest.mark.parametrize("m, panels", [(8, 8), (8, 16), (32, 16), (32, 32), (32, 64)])
+def test_packing_rejects_an_x_rule_that_divides_2m(m, panels):
+    # Every x node sits on a bin edge or midpoint, where the bumps vanish: the divergence read exactly 0.
     bump = Packing(m=m, a=1.0, alpha=(1,) + (0,) * (m - 1))
     cfg = QuadratureConfig(y_panels=256, x_panels=panels)
     for divergence in (hellinger_sq, kl_divergence):
@@ -298,10 +298,10 @@ def test_packing_rejects_an_x_rule_under_four_panels_per_bin(m, panels):
         kl_divergence(UniformJoint(), bump, cfg)
 
 
-@pytest.mark.parametrize("m", [8, 32])
-def test_packing_runs_at_four_panels_per_bin(m):
+@pytest.mark.parametrize("m, panels", [(8, 24), (8, 32), (32, 40), (32, 96), (32, 128)])
+def test_packing_runs_an_x_rule_that_does_not_divide_2m(m, panels):
     bump = Packing(m=m, a=1.0, alpha=(1,) + (0,) * (m - 1))
-    cfg = QuadratureConfig(y_panels=256, x_panels=4 * m)
+    cfg = QuadratureConfig(y_panels=256, x_panels=panels)
     assert hellinger_sq(bump, UniformJoint(), cfg) > 0.0
     assert kl_divergence(bump, Packing(m=m, a=1.0, alpha=(0,) * m), cfg) > 0.0
 

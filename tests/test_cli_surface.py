@@ -50,8 +50,8 @@ ARGV = {
     "adversarial lemma-c3": ["--b", "1.0", "--delta", "0.1"],
 }
 QUAD_FLAGS = ("--quad-x", "--quad-y")
-# Panel counts each flag is run at, 16 and 32 unless listed: a packing of
-# m = 8 bins needs at least 4 x panels per bin, and below that kl exits 2.
+# Panel counts each flag is run at, 16 and 32 unless listed: kl of a packing
+# of m = 8 bins exits 2 at 16 x panels, which divide 2m.
 PANELS = {("adversarial kl", "--quad-x"): ("32", "64")}
 
 

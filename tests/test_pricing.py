@@ -202,18 +202,3 @@ def test_k_schedule_ebay_is_exact_around_fourth_powers():
     # where a float n**0.25 rounds up to the next integer
     assert k_schedule(10**16 - 1, "ebay") == 19992
     assert k_schedule(30_000**4 - 1, "ebay") == 2 * 30_000 - 1 - 7
-
-
-@pytest.mark.parametrize("k", [1, 4, 64, 255, 256, 257])
-def test_partition_lists_each_market_in_index_order(k):
-    # Tie-heavy covariates: 600 distinct values plus every bin edge of k markets.
-    rng = np.random.default_rng(k)
-    x = np.concatenate([rng.integers(0, 600, 4000) / 599, np.arange(k + 1) / k])
-    rng.shuffle(x)
-    pf, part = k_markets_erm(Dataset(y=rng.random(x.size), x=x), k)
-    assert part.k_effective == k == pf.k
-    bins = np.minimum((x * k).astype(int), k - 1)
-    assert len(part.markets) == k
-    for b, market in enumerate(part.markets):
-        assert market.dtype == np.intp
-        assert market.tolist() == np.flatnonzero(bins == b).tolist()
