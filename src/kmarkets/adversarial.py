@@ -10,13 +10,13 @@ any strategy to pay for distinguishing them.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .families import (
+    _is_int,
     _simpson_rule,
     DistributionSpec,
     Packing,
@@ -173,8 +173,7 @@ class Codebook:
     words: np.ndarray
 
     def __post_init__(self):
-        w = np.asarray(self.words, dtype=np.uint8)
-        w = w.copy()
+        w = np.array(self.words, dtype=np.uint8)  # a fresh copy for any input
         w.flags.writeable = False
         object.__setattr__(self, "words", w)
 
@@ -185,37 +184,37 @@ def gilbert_varshamov(m: int) -> Codebook:
     The greedy code that scans {0,1}^m in lexicographic order and accepts
     every word at distance >= d = ceil(m/8) from all accepted words is
     linear (Conway & Sloane, "Lexicographic codes: error-correcting codes
-    from game theory", IEEE Trans. Inf. Theory 1986), so it is built from
-    its basis: for each bit i from low to high, the smallest word w in
-    [2^i, 2^(i+1)) at distance >= d from the code so far, if any, doubles
-    the code to C | (w ^ C).  The volume bound guarantees at least
-    2^ceil(m/8) codewords; all-zeros is the first word.
+    from game theory", IEEE Trans. Inf. Theory 1986), so only its basis is
+    searched and kept: for each bit i, the smallest word w in [2^i, 2^(i+1))
+    at distance >= d from the code so far, if any.  Basis words are clear at
+    each other's top bits, so clearing v's top bits by XOR gives least(v),
+    the smallest word of v's coset (0 on codewords).  w is too close exactly
+    when least(w) = least(e) for a mask e of weight < d with top bit i, and
+    least(w) <= w is bit i plus non-top bits, so candidates run over those.
+    The span, doubled in top-bit order, comes out ascending.  The volume
+    bound guarantees at least 2^ceil(m/8) codewords; all-zeros is the first.
     """
-    if not (isinstance(m, numbers.Integral) and 8 <= m <= 24):
+    if not (_is_int(m) and 8 <= m <= 24):
         raise ParameterDomainError("m must be an integer in [8, 24]")
     d = -(-m // 8)
-    in_code = np.zeros(1 << m, dtype=bool)
-    in_code[0] = True
-    code = np.zeros(1, dtype=np.int64)
-    chunk = 4096  # candidate words tested at once
+    basis = []  # (word, top bit), each word clear at the top bits of the others
+
+    def least(v):  # the smallest word of v's coset: 0 exactly on codewords
+        for b, top in basis:
+            v ^= b if v >> top & 1 else 0
+        return v
+
     for i in range(m):
-        lo = 1 << i
-        # w is at distance < d from the code (all of it below 2^i) exactly
-        # when w ^ mask is a codeword for a mask of weight < d whose top bit is i.
-        masks = lo | np.array(
-            [sum(1 << b for b in combo) for r in range(d - 1) for combo in combinations(range(i), r)],
-            dtype=np.int64,
-        )
-        for start in range(lo, 2 * lo, chunk):
-            cand = np.arange(start, min(start + chunk, 2 * lo), dtype=np.int64)
-            free = np.flatnonzero(~in_code[cand[:, None] ^ masks[None, :]].any(axis=1))
-            if free.size:
-                coset = code ^ cand[free[0]]
-                in_code[coset] = True
-                code = np.concatenate([code, coset])
+        near = {least(1 << i | sum(1 << b for b in c)) for r in range(d - 1) for c in combinations(range(i), r)}
+        off = [b for b in range(i) if all(b != top for _, top in basis)]
+        for t in range(min(len(near) + 1, 1 << len(off))):
+            w = 1 << i | sum(1 << b for j, b in enumerate(off) if t >> j & 1)
+            if w not in near:
+                basis.append((w, i))
                 break
-    del in_code  # 2^m bytes, no longer needed
-    code.sort()
+    code = np.zeros(1, dtype=np.int64)
+    for b, _ in basis:
+        code = np.concatenate([code, code ^ b])
     # Each word shifted to the top of 4 big-endian bytes, so its m bits unpack first, MSB first.
     packed = (code << (32 - m)).astype(">u4").view(np.uint8).reshape(-1, 4)
     return Codebook(m=m, words=np.unpackbits(packed, axis=1, count=m))
@@ -281,7 +280,7 @@ def concavity_margin(b: float, delta: float, grid_size: int = 10000) -> float:
     stays below -C*.
     """
     spec = PerturbedUniform(a=b, delta=delta)
-    if not (isinstance(grid_size, numbers.Integral) and grid_size >= 3):
+    if not (_is_int(grid_size) and grid_size >= 3):
         raise ParameterDomainError("grid_size must be an integer >= 3")
     ys = np.linspace(0.0, 1.0, grid_size)
     h = ys[1] - ys[0]

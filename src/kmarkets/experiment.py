@@ -18,7 +18,6 @@ changes a bit; blocks only remove per-replication Python overhead at small n.
 
 from __future__ import annotations
 
-import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -28,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .families import DistributionSpec, ParameterDomainError, sample
+from .families import _is_int, DistributionSpec, ParameterDomainError, sample
 from .oracle import (
     BATCH,
     DEFAULT_QUAD,
@@ -66,7 +65,7 @@ class Strategy:
             raise ParameterDomainError("kmarkets needs exactly one of k or schedule")
         if self.kind == "uniform" and (self.k is not None or self.schedule is not None):
             raise ParameterDomainError("uniform is the one-market ERM: it takes no k or schedule")
-        if self.k is not None and not (isinstance(self.k, numbers.Integral) and self.k >= 1):
+        if self.k is not None and not (_is_int(self.k) and self.k >= 1):
             raise ParameterDomainError("market count must be a positive integer")
         if self.schedule is not None and self.schedule not in ("theory", "sim", "ebay"):
             raise ParameterDomainError(f"unknown schedule variant: {self.schedule!r}")
@@ -159,10 +158,11 @@ def _rep_chunk(args):
 def _plan_chunks(reps: int, workers: int) -> list[np.ndarray]:
     """Split replication indices into one chunk per worker process.
 
-    The worker count is capped at the machine's core count; empty chunks
-    are dropped, so there are never more chunks than replications.
+    The worker count is capped at the cores this process may run on; empty
+    chunks are dropped, so there are never more chunks than replications.
     """
-    count = min(workers, os.cpu_count() or 1)
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    count = min(workers, cores)
     return [c for c in np.array_split(np.arange(reps), count) if c.size]
 
 
@@ -254,7 +254,7 @@ def pointwise_deficiency(
 
 def _check_n_list(n_list) -> list[int]:
     n_list = list(n_list)
-    if not all(isinstance(n, numbers.Integral) and n >= 1 for n in n_list):
+    if not all(_is_int(n) and n >= 1 for n in n_list):
         raise ParameterDomainError("sample sizes must be integers >= 1")
     ns = [int(n) for n in n_list]
     if not ns or any(b <= a for a, b in zip(ns, ns[1:])):
@@ -271,11 +271,11 @@ def _curves(spec, arms, ns, reps, base_seed, cfg, workers):
     once; the chunk plan is made once, and with more than one chunk one pool
     serves every arm and size.  Returns one list of points per arm.
     """
-    if not (isinstance(reps, numbers.Integral) and reps >= 1):
+    if not (_is_int(reps) and reps >= 1):
         raise ParameterDomainError("need a positive integer number of replications")
-    if not (isinstance(workers, numbers.Integral) and workers >= 1):
+    if not (_is_int(workers) and workers >= 1):
         raise ParameterDomainError("need a positive integer number of workers")
-    if not (isinstance(base_seed, numbers.Integral) and base_seed >= 0):
+    if not (_is_int(base_seed) and base_seed >= 0):
         raise ParameterDomainError(f"seed must be a non-negative integer, got {base_seed!r}")
     ns = _check_n_list(ns)
     benched = tuple((strategy, metric, benchmark(spec, strategy, cfg)) for strategy, (benchmark, metric) in arms)

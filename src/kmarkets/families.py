@@ -38,6 +38,11 @@ class EmptyDataError(ValueError):
     """Raised when an operation receives an empty sample."""
 
 
+def _is_int(v) -> bool:
+    """True for an integer that is not a bool (numbers.Integral admits True)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 def phi_y(t):
     """Hat-shaped perturbation in the valuation direction.
 
@@ -390,7 +395,7 @@ class Packing(_HatFamily):
     alpha: tuple[int, ...]
 
     def __post_init__(self):
-        if not (isinstance(self.m, numbers.Integral) and self.m >= 8):
+        if not (_is_int(self.m) and self.m >= 8):
             raise ParameterDomainError("m must be an integer >= 8")
         object.__setattr__(self, "m", int(self.m))
         _check_amplitude(self.a, signed=False)
@@ -432,9 +437,9 @@ def sample(spec: DistributionSpec, n: int, seed: int) -> Dataset:
     The covariates are drawn first, then the conditional valuations, so a
     fixed seed pins the whole dataset bit for bit.
     """
-    if not (isinstance(n, numbers.Integral) and n >= 1):
+    if not (_is_int(n) and n >= 1):
         raise ParameterDomainError("sample size must be an integer >= 1")
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+    if not (_is_int(seed) and seed >= 0):
         raise ParameterDomainError(f"seed must be a non-negative integer, got {seed!r}")
     rng = np.random.default_rng(seed)
     x = rng.random(n)
@@ -455,7 +460,7 @@ def validate_density(spec: DistributionSpec, x_grid_size: int = 101) -> DensityR
     reports the smallest density value seen on a y/x evaluation grid that
     includes the family's ``y_knots``.
     """
-    if not (isinstance(x_grid_size, numbers.Integral) and x_grid_size >= 2):
+    if not (_is_int(x_grid_size) and x_grid_size >= 2):
         raise ParameterDomainError("x_grid_size must be an integer >= 2")
     xs = np.linspace(0.0, 1.0, x_grid_size)
     ys = np.union1d(np.linspace(0.0, 1.0, 2049), spec.y_knots)

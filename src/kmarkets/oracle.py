@@ -9,13 +9,12 @@ is r(y, x) = y * (1 - F(y|x)).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .families import _simpson_rule, DistributionSpec, ParameterDomainError
+from .families import _is_int, _simpson_rule, DistributionSpec, ParameterDomainError
 from .pricing import PricingFunction, price_at
 
 GRID_POINTS = 4097  # scan grid for all price maximizations
@@ -35,7 +34,7 @@ class QuadratureConfig:
 
     def __post_init__(self):
         for panels in (self.y_panels, self.x_panels):
-            if not isinstance(panels, numbers.Integral) or panels < 8 or panels % 2:
+            if not _is_int(panels) or panels < 8 or panels % 2:
                 raise ParameterDomainError("panel counts must be even integers >= 8")
         if not self.refine_tol > 0.0:
             raise ParameterDomainError("refine_tol must be positive")
@@ -166,7 +165,7 @@ def optimal_3pd_policy(
     cfg: QuadratureConfig = DEFAULT_QUAD,
 ) -> TabulatedPolicy:
     """Tabulate the pointwise-optimal price p*(x) on a covariate grid."""
-    if not isinstance(x_grid_size, numbers.Integral) or x_grid_size < 2:
+    if not _is_int(x_grid_size) or x_grid_size < 2:
         raise ParameterDomainError("x_grid_size must be an integer >= 2")
     xs = np.linspace(0.0, 1.0, x_grid_size)
     prices, _ = _scan_then_refine(partial(pointwise_revenue, spec), xs, cfg.refine_tol)

@@ -10,13 +10,12 @@ to the lowest price.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .families import Dataset, EmptyDataError, ParameterDomainError
+from .families import _is_int, Dataset, EmptyDataError, ParameterDomainError
 
 
 @dataclass(frozen=True)
@@ -43,7 +42,7 @@ class KMarkets:
     prices: tuple[float, ...]
 
     def __post_init__(self):
-        if not (isinstance(self.k, numbers.Integral) and self.k >= 1):
+        if not (_is_int(self.k) and self.k >= 1):
             raise ParameterDomainError("market count must be an integer >= 1")
         if len(self.prices) != self.k:
             raise ParameterDomainError("need exactly one price per market")
@@ -86,7 +85,7 @@ def _erm_sorted(v, m):
     argmax takes the first maximum: the lowest maximizing price.  A padded
     slot has m - j <= 0, so its revenue never beats the first slot's.
     """
-    revenue = v * (np.arange(m, 0, -1) if isinstance(m, int) else m - np.arange(v.shape[1]))
+    revenue = v * (m - np.arange(v.shape[1]))
     revenue /= m
     return v[np.arange(v.shape[0]), np.argmax(revenue, axis=1)]
 
@@ -174,7 +173,7 @@ def k_markets_erm(data: Dataset, k: int) -> tuple[PricingFunction, MarketPartiti
     in which case a Constant pricing function is returned.  The one-row
     case of ``k_markets_erm_rows``.
     """
-    if not (isinstance(k, numbers.Integral) and k >= 1):
+    if not (_is_int(k) and k >= 1):
         raise ParameterDomainError("k must be an integer >= 1")
     ((_, prices),) = k_markets_erm_rows(data.x[None], data.y[None], k)
     k_eff = prices.shape[1]
@@ -212,7 +211,7 @@ def k_schedule(n: int, variant: str = "theory", fixed: int | None = None) -> int
     fifth of the theory count; fixed: the given constant.  All floored at 1
     and computed in exact integer arithmetic.
     """
-    if not (isinstance(n, numbers.Integral) and n >= 1):
+    if not (_is_int(n) and n >= 1):
         raise ParameterDomainError("sample size must be an integer >= 1")
     root = math.isqrt(math.isqrt(n))  # exact floor(n^(1/4))
     if variant == "theory":
@@ -222,7 +221,7 @@ def k_schedule(n: int, variant: str = "theory", fixed: int | None = None) -> int
     if variant == "ebay":
         return max(1, math.isqrt(math.isqrt(16 * n)) - 7)  # floor(2 n^(1/4)) == floor((16 n)^(1/4))
     if variant == "fixed":
-        if not (isinstance(fixed, numbers.Integral) and fixed >= 1):
+        if not (_is_int(fixed) and fixed >= 1):
             raise ParameterDomainError("fixed schedule needs a positive integer market count")
         return fixed
     raise ParameterDomainError(f"unknown schedule variant: {variant!r}")

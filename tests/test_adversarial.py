@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from kmarkets import (
+    Codebook,
     Packing,
     ParameterDomainError,
     PerturbedConditional,
@@ -209,6 +210,16 @@ def test_gilbert_varshamov_domain():
     for m in (7, 25, 0):
         with pytest.raises(ParameterDomainError):
             gilbert_varshamov(m)
+
+
+@pytest.mark.parametrize(
+    "source", [[[0, 1, 1], [1, 0, 1]], np.array([[0, 1, 1], [1, 0, 1]], dtype=np.uint8)], ids=["list", "uint8"]
+)
+def test_codebook_words_are_a_fresh_frozen_copy(source):
+    words = Codebook(m=3, words=source).words
+    assert words.dtype == np.uint8 and np.array_equal(words, source)
+    assert not words.flags.writeable
+    assert not np.shares_memory(words, np.asarray(source))
 
 
 def test_separation_zero_for_equal_patterns():

@@ -82,6 +82,11 @@ def test_chunk_plan_is_capped_at_the_core_count():
     assert len(_plan_chunks(1000, 1)) == 1
 
 
+def test_chunk_plan_is_capped_at_the_usable_cores(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert len(_plan_chunks(10, 2)) == 1
+
+
 def test_tabulated_policy_rejects_nan():
     with pytest.raises(ParameterDomainError, match="prices"):
         TabulatedPolicy(x_grid=[0.0, 1.0], prices=[0.5, math.nan])
@@ -99,13 +104,13 @@ def test_erm_and_demand_reject_valuations_outside_the_unit_interval(values):
         empirical_demand(values, 0.3)
 
 
-@pytest.mark.parametrize("m", [8.0, 8.5])
+@pytest.mark.parametrize("m", [8.0, 8.5, True])
 def test_gilbert_varshamov_rejects_non_integer_length(m):
     with pytest.raises(ParameterDomainError, match="integer"):
         gilbert_varshamov(m)
 
 
-@pytest.mark.parametrize("panels", [{"y_panels": 8.0}, {"x_panels": 1e3}])
+@pytest.mark.parametrize("panels", [{"y_panels": 8.0}, {"x_panels": 1e3}, {"x_panels": True}])
 def test_quadrature_config_rejects_non_integer_panels(panels):
     with pytest.raises(ParameterDomainError, match="panel counts"):
         QuadratureConfig(**panels)
@@ -117,7 +122,7 @@ def test_concavity_margin_rejects_a_grid_with_no_usable_difference(grid_size):
         concavity_margin(1.0, 0.05, grid_size=grid_size)
 
 
-@pytest.mark.parametrize("m", [8.0, 8.5])
+@pytest.mark.parametrize("m", [8.0, 8.5, True])
 def test_packing_rejects_non_integer_bin_count(m):
     with pytest.raises(ParameterDomainError, match="integer"):
         Packing(m=m, a=1.0, alpha=(0,) * 8)
@@ -139,7 +144,9 @@ def test_cli_rejects_zero_panels(capsys, argv):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("n, reps, workers", [(8, 2.5, 1), (8, 2, 1.5), (8.5, 2, 1)])
+@pytest.mark.parametrize(
+    "n, reps, workers", [(8, 2.5, 1), (8, 2, 1.5), (8.5, 2, 1), (8, True, 1), (8, 2, True), (True, 2, 1)]
+)
 def test_monte_carlo_counts_must_be_integers(n, reps, workers):
     with pytest.raises(ParameterDomainError, match="integer"):
         revenue_deficiency(UniformJoint(), uniform_strategy(), n, reps, 1, workers=workers)
@@ -153,7 +160,7 @@ def test_sample_sizes_must_be_integers():
     assert deficiency_curve(UniformJoint(), uniform_strategy(), np.array([8, 16, 32]), 2, 1)[0].n == 8
 
 
-@pytest.mark.parametrize("k", [2.5, 2.0])
+@pytest.mark.parametrize("k", [2.5, 2.0, True])
 def test_market_count_must_be_an_integer(k):
     with pytest.raises(ParameterDomainError, match="integer"):
         kmarkets_strategy(k=k)
@@ -161,7 +168,7 @@ def test_market_count_must_be_an_integer(k):
         k_markets_erm(sample(UniformJoint(), 16, 1), k)
 
 
-@pytest.mark.parametrize("k", [2.0, 2.5])
+@pytest.mark.parametrize("k", [2.0, 2.5, True])
 def test_step_rule_market_count_must_be_an_integer(k):
     with pytest.raises(ParameterDomainError, match="integer"):
         KMarkets(k, (0.1, 0.2))
@@ -169,35 +176,42 @@ def test_step_rule_market_count_must_be_an_integer(k):
 
 @pytest.mark.parametrize(
     "args",
-    [(10.0, "theory"), (10.5, "sim"), ("10", "ebay"), (10, "fixed", 2.5), (10, "fixed", 2.0)],
+    [(10.0, "theory"), (10.5, "sim"), ("10", "ebay"), (10, "fixed", 2.5), (10, "fixed", 2.0), (True, "theory"),
+     (10, "fixed", True)],
 )
 def test_schedule_counts_must_be_integers(args):
     with pytest.raises(ParameterDomainError, match="integer"):
         k_schedule(*args)
 
 
-@pytest.mark.parametrize("size", [2.5, 1025.0])
+@pytest.mark.parametrize("size", [2.5, 1025.0, True])
 def test_policy_grid_size_must_be_an_integer(size):
     with pytest.raises(ParameterDomainError, match="x_grid_size"):
         optimal_3pd_policy(PowerSimulated(), x_grid_size=size)
 
 
-@pytest.mark.parametrize("size", [2.5, 101.0])
+@pytest.mark.parametrize("size", [2.5, 101.0, True])
 def test_density_check_grid_size_must_be_an_integer(size):
     with pytest.raises(ParameterDomainError, match="x_grid_size"):
         validate_density(UniformJoint(), size)
 
 
-@pytest.mark.parametrize("grid_size", [3.5, 10000.0])
+@pytest.mark.parametrize("grid_size", [3.5, 10000.0, True])
 def test_concavity_margin_grid_size_must_be_an_integer(grid_size):
     with pytest.raises(ParameterDomainError, match="grid_size"):
         concavity_margin(1.0, 0.05, grid_size)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5, 2.5, "3", None])
+@pytest.mark.parametrize("seed", [-1, 1.5, 2.5, "3", None, True])
 def test_sample_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
     with pytest.raises(ParameterDomainError, match="seed"):
         sample(UniformJoint(), 10, seed)
+
+
+@pytest.mark.parametrize("n", [0, 2.5, True])
+def test_sample_rejects_a_size_that_is_not_a_positive_integer(n):
+    with pytest.raises(ParameterDomainError, match="sample size"):
+        sample(UniformJoint(), n, 1)
 
 
 def test_sample_takes_a_numpy_integer_seed():
@@ -205,7 +219,7 @@ def test_sample_takes_a_numpy_integer_seed():
     assert np.array_equal(a.y, b.y) and np.array_equal(a.x, b.x)
 
 
-@pytest.mark.parametrize("seed", [-1, 1.5])
+@pytest.mark.parametrize("seed", [-1, 1.5, True])
 def test_curves_reject_a_bad_seed_before_any_benchmark(seed):
     def benchmark(spec, strategy, cfg):
         raise AssertionError("benchmark computed before the seed was checked")
