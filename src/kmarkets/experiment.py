@@ -8,10 +8,11 @@ class under the true distribution: the optimal single price for uniform
 ERM, the pointwise optimal policy for K-markets.
 
 Replications run in blocks of R = max(1, BATCH // n) seeds (``oracle.BATCH``).
-Each seed's dataset is sampled on its own; the block is stacked into (R, n)
-arrays, fitted row by row by one countdown (``pricing.k_markets_erm_rows``,
-which uniform ERM asks for one market) and integrated by the one policy
-integrator, ``oracle.integrate_rows``, about BATCH nodes at a time.  Every
+Each block is drawn once as (R, n) arrays by ``families.sample_rows``, one
+seeded row per replication, fitted row by row by one countdown
+(``pricing.k_markets_erm_rows``, which uniform ERM asks for one market) and
+integrated by the one policy integrator, ``oracle.integrate_rows``, about
+BATCH nodes at a time.  Every
 row goes through the same arithmetic as a lone replication, so no block size
 changes a bit; blocks only remove per-replication Python overhead at small n.
 """
@@ -27,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .families import _is_int, DistributionSpec, ParameterDomainError, sample
+from .families import _is_int, DistributionSpec, ParameterDomainError, sample_rows
 from .oracle import (
     BATCH,
     DEFAULT_QUAD,
@@ -132,10 +133,10 @@ def _pointwise_gap(spec, prices, cfg, bench, x0):
 def _rep_chunk(args):
     """Deficiencies and revenues of every arm on the replications with the given seeds.
 
-    Seeds run in blocks of R = max(1, BATCH // n).  Each seed's dataset is
-    sampled once, the block's datasets are stacked into (R, n) arrays, and
-    each arm (strategy, metric, bench) fits and evaluates all of them at
-    once.  metric(spec, prices, cfg, bench) -> (deficiencies, revenues)
+    Seeds run in blocks of R = max(1, BATCH // n).  Each block is drawn once
+    as (R, n) arrays by ``sample_rows``, one row per seed, and each arm
+    (strategy, metric, bench) fits and evaluates all of its rows at once.
+    metric(spec, prices, cfg, bench) -> (deficiencies, revenues)
     takes (rows, k) step-rule prices; it is a module-level function (or a
     partial of one), so chunks pickle for the process pool.
     Returns an (arms, 2, seeds) array: deficiencies in [:, 0], revenues in [:, 1].
@@ -144,11 +145,7 @@ def _rep_chunk(args):
     out = np.empty((len(arms), 2, len(seeds)))
     step = max(1, BATCH // n)
     for start in range(0, len(seeds), step):
-        data = [sample(spec, n, seed) for seed in seeds[start : start + step]]
-        if len(data) == 1:  # a lone large sample is used in place, not copied
-            x, y = data[0].x[None], data[0].y[None]
-        else:
-            x, y = np.stack([d.x for d in data]), np.stack([d.y for d in data])
+        x, y = sample_rows(spec, n, seeds[start : start + step])
         for a, (strategy, metric, bench) in enumerate(arms):
             for rows, prices in k_markets_erm_rows(x, y, strategy.market_count(n)):
                 out[a][:, start + rows] = metric(spec, prices, cfg, bench)

@@ -399,10 +399,10 @@ class Packing(_HatFamily):
             raise ParameterDomainError("m must be an integer >= 8")
         object.__setattr__(self, "m", int(self.m))
         _check_amplitude(self.a, signed=False)
-        alpha = tuple(int(b) for b in self.alpha)
+        alpha = tuple(self.alpha)  # checked as given: int() would truncate 0.9 to a 0 bit
         if len(alpha) != self.m or any(b not in (0, 1) for b in alpha):
             raise ParameterDomainError("alpha must be a bit vector of length m")
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", tuple(int(b) for b in alpha))
 
     @property
     def scale(self) -> float:
@@ -431,20 +431,34 @@ def marginal_x_density(spec: DistributionSpec, x):
     return out if out.ndim else float(out)
 
 
-def sample(spec: DistributionSpec, n: int, seed: int) -> Dataset:
-    """Draw n i.i.d. (valuation, covariate) pairs by inverse-CDF sampling.
+def sample_rows(spec: DistributionSpec, n: int, seeds) -> tuple[np.ndarray, np.ndarray]:
+    """Draw one row of n i.i.d. pairs per seed by inverse-CDF sampling: (x, y), each (len(seeds), n).
 
-    The covariates are drawn first, then the conditional valuations, so a
-    fixed seed pins the whole dataset bit for bit.
+    Row i has its own generator seeded with seeds[i], which draws the
+    covariates first, then the uniforms that the family's ``ppf`` turns into
+    valuations, so a fixed seed pins its row bit for bit in any block.
     """
     if not (_is_int(n) and n >= 1):
         raise ParameterDomainError("sample size must be an integer >= 1")
-    if not (_is_int(seed) and seed >= 0):
-        raise ParameterDomainError(f"seed must be a non-negative integer, got {seed!r}")
-    rng = np.random.default_rng(seed)
-    x = rng.random(n)
-    u = rng.random(n)
-    return Dataset(y=spec.ppf(u, x), x=x)
+    x = np.empty((len(seeds), n))
+    u = np.empty_like(x)
+    for seed, x_row, u_row in zip(seeds, x, u):
+        if not (_is_int(seed) and seed >= 0):
+            raise ParameterDomainError(f"seed must be a non-negative integer, got {seed!r}")
+        rng = np.random.default_rng(seed)
+        rng.random(out=x_row)
+        rng.random(out=u_row)
+    y = spec.ppf(u, x)
+    # Written so that NaN, which min/max propagate, fails the check.
+    if not (0.0 <= y.min() and y.max() <= 1.0):
+        raise ParameterDomainError("valuations and covariates must lie in [0, 1]")
+    return x, y
+
+
+def sample(spec: DistributionSpec, n: int, seed: int) -> Dataset:
+    """Draw n i.i.d. (valuation, covariate) pairs: the one-row case of ``sample_rows``."""
+    x, y = sample_rows(spec, n, [seed])
+    return Dataset(y=y[0], x=x[0])
 
 
 @dataclass(frozen=True)

@@ -81,6 +81,9 @@ def marginal_y_cdf(spec: DistributionSpec, p, cfg: QuadratureConfig = DEFAULT_QU
     lone row differently from the same row inside a larger block.
     """
     p = np.asarray(p, dtype=float)
+    # Written so that NaN fails the check and no temporary is made.
+    if p.size and not (0.0 <= p.min() and p.max() <= 1.0):
+        raise ParameterDomainError("prices must lie in [0, 1]")
     if spec.x_independent:  # the x-average is free
         return spec.conditional_cdf(p, 0.5)
     xs, w = _simpson_rule(cfg.x_panels)

@@ -33,17 +33,17 @@ def test_arms_equal_separate_single_arm_curves(workers):
 
 def test_crossing_scan_draws_each_dataset_once(monkeypatch):
     drawn = []
-    sample = experiment.sample
+    sample_rows = experiment.sample_rows
 
-    def counted(spec, n, seed):
-        drawn.append((n, seed))
-        return sample(spec, n, seed)
+    def counted(spec, n, seeds):
+        drawn.extend((n, seed) for seed in seeds)
+        return sample_rows(spec, n, seeds)
 
-    monkeypatch.setattr(experiment, "sample", counted)
+    monkeypatch.setattr(experiment, "sample_rows", counted)
     result = crossing_scan(PowerSimulated(), NS, k=4, reps=REPS, base_seed=2)
     assert len(drawn) == len(NS) * REPS
     assert len(set(drawn)) == len(drawn)
-    monkeypatch.setattr(experiment, "sample", sample)
+    monkeypatch.setattr(experiment, "sample_rows", sample_rows)
     revenue = experiment._KINDS["revenue"]
     for strategy, curve in ((uniform_strategy(), result.uniform_curve),
                             (kmarkets_strategy(k=4), result.kmarkets_curve)):

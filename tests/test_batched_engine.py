@@ -34,8 +34,8 @@ from kmarkets import (
     sample,
     uniform_strategy,
 )
-from kmarkets.families import _simpson_rule
-from kmarkets.oracle import partial_expectation, pointwise_revenue
+from kmarkets.families import _simpson_rule, sample_rows
+from kmarkets.oracle import BATCH, partial_expectation, pointwise_revenue
 from kmarkets.pricing import k_markets_erm_rows, uniform_erm_rows
 
 FAMILIES = [
@@ -132,6 +132,22 @@ def test_batched_chunk_equals_the_per_seed_loop(spec, n, reps, batch, panels, ar
     with mock.patch.object(experiment, "BATCH", batch):
         got = experiment._rep_chunk((spec, n, seeds, cfg, _engine_arms(arms)))
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@settings(deadline=None, max_examples=100)
+@given(
+    spec=st.sampled_from(FAMILIES),
+    n=st.one_of(st.just(1), st.integers(1, 200).map(lambda h: 2 * h + 1), st.integers(BATCH + 1, 2 * BATCH)),
+    seeds=st.lists(st.integers(0, 2**64), min_size=1, max_size=40),
+)
+@example(spec=FAMILIES[4], n=BATCH + 1, seeds=list(range(40)))
+def test_sample_rows_equal_the_one_row_samples(spec, n, seeds):
+    # A block-shaped ppf must not take another SIMD path than a lone row.
+    x, y = sample_rows(spec, n, seeds)
+    assert x.shape == y.shape == (len(seeds), n)
+    for i, seed in enumerate(seeds):
+        data = sample(spec, n, seed)
+        assert x[i].tobytes() == data.x.tobytes() and y[i].tobytes() == data.y.tobytes()
 
 
 @pytest.mark.parametrize("k", [127, 128, 129, 255, 256, 257])

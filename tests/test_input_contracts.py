@@ -12,8 +12,10 @@ from kmarkets import PowerSimulated, crossing_scan, deficiency_curve, kmarkets_s
 from kmarkets import k_markets_erm, optimal_3pd_policy, sample
 from kmarkets import Packing, QuadratureConfig, concavity_margin, gilbert_varshamov
 from kmarkets import KMarkets, empirical_demand, k_schedule, uniform_erm, validate_density
+from kmarkets import marginal_y_cdf
 from kmarkets.cli import main
 from kmarkets.experiment import _curves, _plan_chunks
+from kmarkets.families import DistributionSpec, sample_rows
 
 HEADER = "auction_id,bid,bidder_id,bidder_rating\n"
 
@@ -73,7 +75,7 @@ def test_workers_must_be_positive(capsys, workers):
 
 
 def test_chunk_plan_is_capped_at_the_core_count():
-    cores = os.cpu_count() or 1
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
     for reps in (1, 3, 1000):
         chunks = _plan_chunks(reps, 10**9)
         assert len(chunks) == min(reps, cores)
@@ -126,6 +128,30 @@ def test_concavity_margin_rejects_a_grid_with_no_usable_difference(grid_size):
 def test_packing_rejects_non_integer_bin_count(m):
     with pytest.raises(ParameterDomainError, match="integer"):
         Packing(m=m, a=1.0, alpha=(0,) * 8)
+
+
+@pytest.mark.parametrize("bit", [0.9, 1.7, 2, -1, math.nan])
+def test_packing_rejects_an_alpha_entry_that_is_not_a_bit(bit):
+    with pytest.raises(ParameterDomainError, match="alpha must be a bit vector of length m"):
+        Packing(m=8, a=1.0, alpha=(bit,) + (0,) * 7)
+
+
+def test_packing_takes_bits_of_any_integer_bool_or_float_type():
+    bits = (1, True, np.int64(1), np.uint8(0), np.bool_(True), 1.0, np.float64(0.0), 0)
+    assert Packing(m=8, a=1.0, alpha=bits).alpha == (1, 1, 1, 0, 1, 1, 0, 0)
+    assert Packing(m=8, a=1.0, alpha=np.array([1, 0] * 4, dtype=np.uint8)).alpha == (1, 0) * 4
+
+
+@pytest.mark.parametrize("p", [-0.1, 1.5, math.nan, [0.2, -0.1], [0.2, 1.5], [0.2, math.nan]])
+@pytest.mark.parametrize("spec", [UniformJoint(), PowerSimulated()])
+def test_marginal_y_cdf_rejects_prices_outside_the_unit_interval(spec, p):
+    with pytest.raises(ParameterDomainError, match="prices"):
+        marginal_y_cdf(spec, np.asarray(p) if isinstance(p, list) else p)
+
+
+@pytest.mark.parametrize("spec", [UniformJoint(), PowerSimulated()])
+def test_marginal_y_cdf_of_no_prices_is_empty(spec):
+    assert marginal_y_cdf(spec, np.empty(0)).shape == (0,)
 
 
 @pytest.mark.parametrize(
@@ -212,6 +238,34 @@ def test_sample_rejects_a_seed_that_is_not_a_non_negative_integer(seed):
 def test_sample_rejects_a_size_that_is_not_a_positive_integer(n):
     with pytest.raises(ParameterDomainError, match="sample size"):
         sample(UniformJoint(), n, 1)
+
+
+@pytest.mark.parametrize("n", [0, 2.5, True])
+def test_sample_rows_reject_a_size_that_is_not_a_positive_integer(n):
+    with pytest.raises(ParameterDomainError, match="sample size"):
+        sample_rows(UniformJoint(), n, [1, 2])
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True])
+def test_sample_rows_reject_a_bad_seed_by_name(seed):
+    with pytest.raises(ParameterDomainError, match=f"seed must be a non-negative integer, got {seed!r}"):
+        sample_rows(UniformJoint(), 10, [3, seed, 4])
+
+
+class _OffUnitPpf(DistributionSpec):
+    def __init__(self, value):
+        self.value = value
+
+    def ppf(self, u, x):
+        return np.full_like(u, self.value)
+
+
+@pytest.mark.parametrize("value", [1.5, math.nan])
+def test_sample_rows_reject_valuations_outside_the_unit_interval(value):
+    with pytest.raises(ParameterDomainError, match="valuations"):
+        sample_rows(_OffUnitPpf(value), 10, [3, 4])
+    with pytest.raises(ParameterDomainError, match="valuations"):
+        sample(_OffUnitPpf(value), 10, 3)
 
 
 def test_sample_takes_a_numpy_integer_seed():
