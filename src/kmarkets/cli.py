@@ -78,25 +78,28 @@ def read_curve(path) -> list[DeficiencyPoint]:
     with open(Path(path), newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise IngestError("empty curve file") from None
-        if tuple(header) != CURVE_COLUMNS:
-            raise IngestError(f"unexpected curve header: {header}")
-        points = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            try:
-                n, tag, mean, se, reps, revenue = row  # a short or a long row fails here too
-                point = DeficiencyPoint(int(n), tag, float(mean), float(se), int(reps), float(revenue))
-            except ValueError:
-                raise IngestError(f"line {line_no}: malformed curve row of {len(row)} cells") from None
-            if point.n < 1 or point.reps < 1:
-                raise IngestError(f"line {line_no}: n and reps must be >= 1")
-            if not all(map(math.isfinite, (point.mean_deficiency, point.std_error, point.mean_revenue))):
-                raise IngestError(f"line {line_no}: non-finite number")
-            points.append(point)
+            header = next(reader, None)
+            if header is None:
+                raise IngestError("empty curve file")
+            header = [h.strip() for h in header]
+            if tuple(header) != CURVE_COLUMNS:
+                raise IngestError(f"unexpected curve header: {header}")
+            points = []
+            for line_no, row in enumerate(reader, start=2):
+                if not row:
+                    continue
+                try:
+                    n, tag, mean, se, reps, revenue = row  # a short or a long row fails here too
+                    point = DeficiencyPoint(int(n), tag, float(mean), float(se), int(reps), float(revenue))
+                except ValueError:
+                    raise IngestError(f"line {line_no}: malformed curve row of {len(row)} cells") from None
+                if point.n < 1 or point.reps < 1:
+                    raise IngestError(f"line {line_no}: n and reps must be >= 1")
+                if not all(map(math.isfinite, (point.mean_deficiency, point.std_error, point.mean_revenue))):
+                    raise IngestError(f"line {line_no}: non-finite number")
+                points.append(point)
+        except csv.Error as exc:
+            raise IngestError(f"line {reader.line_num}: {exc}") from None
     if not points:
         raise IngestError("curve file has no data rows")
     return points

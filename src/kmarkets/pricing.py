@@ -145,8 +145,12 @@ def k_markets_erm_rows(x, y, k: int):
     """
     rows = np.arange(x.shape[0])
     # Bins beyond the sample size are guaranteed to leave one empty, so the
-    # countdown can start at min(k, n) without changing the result.
-    for k_eff in range(min(k, x.shape[1]), 1, -1):
+    # countdown can start at min(k, n) without changing the result.  Nor
+    # can a row fill more bins than it has distinct covariates: once a
+    # step leaves a row unfilled, the countdown skips every count above
+    # the most distinct values any remaining row holds.
+    k_eff, distinct = min(k, x.shape[1]), None
+    while k_eff > 1:
         # floor(min(x k, k - 1)) == min(floor(x k), k - 1), held in the
         # smallest dtype that also holds the per-row bincount keys.
         scaled = x * k_eff
@@ -162,6 +166,10 @@ def k_markets_erm_rows(x, y, k: int):
         if full.any():
             yield rows[full], _market_prices(y[full], bins[full], counts[full])
         rows, x, y = rows[~full], x[~full], y[~full]
+        if distinct is None:
+            xs = np.sort(x, axis=1)
+            distinct = 1 + int(np.count_nonzero(xs[:, 1:] != xs[:, :-1], axis=1).max())
+        k_eff = min(k_eff - 1, distinct)
     yield rows, uniform_erm_rows(y)[:, None]
 
 
