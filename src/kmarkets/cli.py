@@ -75,7 +75,7 @@ def write_curve(points, fh) -> None:
 
 def read_curve(path) -> list[DeficiencyPoint]:
     """Parse a deficiency-curve CSV back into points."""
-    with open(Path(path), newline="") as fh:
+    with open(Path(path), newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)

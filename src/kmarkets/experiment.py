@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .families import _is_int, DistributionSpec, ParameterDomainError, sample_rows
+from .families import _is_int, _market_of, DistributionSpec, ParameterDomainError, sample_rows
 from .oracle import (
     BATCH,
     DEFAULT_QUAD,
@@ -124,8 +124,7 @@ def _welfare_gap(spec, prices, cfg, bench):
 def _pointwise_gap(spec, prices, cfg, bench, x0):
     # One scalar call per price: numpy's scalar power (np.float64 ** 2 runs
     # pow) and its array power (squares) can differ in the last bit.
-    k = prices.shape[1]
-    market = prices[:, min(int(x0 * k), k - 1)]
+    market = prices[:, _market_of(x0, prices.shape[1], np.intp)]
     r = np.array([float(pointwise_revenue(spec, p, x0)) for p in market.tolist()])
     return bench - r, r
 

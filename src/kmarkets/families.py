@@ -43,18 +43,18 @@ def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
-def phi_y(t):
-    """Hat-shaped perturbation in the valuation direction.
+# phi_y's knot table: piecewise linear through (t, phi), zero outside.  Every hat fact reads it.
+_HAT_T = np.array([-1.0, 0.0, 2.0, 3.0])
+_HAT_PHI = np.array([0.0, 1.0, -1.0, 0.0])
 
-    Piecewise linear: t+1 on [-1,0], 1-t on [0,2], t-3 on [2,3], zero
-    elsewhere.  Integrates to zero over its support and |phi_y| <= 1.
+
+def phi_y(t):
+    """Hat-shaped perturbation in the valuation direction: the knot table, interpolated.
+
+    t+1 on [-1,0], 1-t on [0,2], t-3 on [2,3], zero elsewhere and NaN at NaN.
+    Integrates to zero over its support and |phi_y| <= 1.
     """
-    t = np.asarray(t, dtype=float)
-    out = np.select(
-        [t < -1.0, t <= 0.0, t <= 2.0, t <= 3.0],
-        [0.0, t + 1.0, 1.0 - t, t - 3.0],
-        default=0.0,
-    )
+    out = np.interp(t, _HAT_T, _HAT_PHI, left=0.0, right=0.0)
     return out if out.ndim else float(out)
 
 
@@ -88,6 +88,16 @@ def phi_x(t):
             with np.errstate(divide="ignore"):  # 1 - z*z rounds to 0 at a lobe edge; exp(-inf) = 0
                 out[mask] = sign * np.exp(-z * z / (1.0 - z * z))
     return float(out[0]) if scalar else out
+
+
+def _market_of(x, k, dtype):
+    """Market of each covariate in [0, 1] among k equal-width bins: min(floor(x k), k - 1).
+
+    That is floor(min(x k, k - 1)): the minimum runs in place, and the cast to
+    the caller's index dtype truncates, which floors x k >= 0.
+    """
+    scaled = np.asarray(x * k)
+    return np.minimum(scaled, k - 1, out=scaled).astype(dtype)
 
 
 class UnitPoint(NamedTuple):
@@ -218,7 +228,7 @@ class PowerSimulated(DistributionSpec):
         return w @ vals
 
 
-_HAT_T_SLOPES = np.array([0.0, 1.0, -1.0, 1.0, 0.0])  # phi_y slope per segment
+_HAT_T_SLOPES = np.pad(np.diff(_HAT_PHI) / np.diff(_HAT_T), 1)  # phi_y slope per segment
 
 
 def _broadcast_to_args(vals, y, x):
@@ -240,13 +250,9 @@ class _HatFamily(DistributionSpec):
 
     @property
     def y_knots(self) -> np.ndarray:
-        # Breakpoints of the hat clipped to [0, 1].  The upper clip only
-        # bites for the conditional family at large delta, where the hat is
-        # allowed to stick out past y = 1 (see PerturbedConditional).
-        s = self.scale
-        return np.array(
-            [0.0, 0.5 - s, 0.5, min(0.5 + 2.0 * s, 1.0), min(0.5 + 3.0 * s, 1.0), 1.0]
-        )
+        # The hat's knots clipped to [0, 1].  The upper clip only bites for
+        # PerturbedConditional at large delta, whose hat may pass y = 1.
+        return np.concatenate(([0.0], np.minimum(0.5 + self.scale * _HAT_T, 1.0), [1.0]))
 
     def conditional_density(self, y, x):
         y, x = np.asarray(y, float), np.asarray(x, float)
@@ -266,7 +272,7 @@ class _HatFamily(DistributionSpec):
         edges = self.y_knots
         # CDF at the segment edges, one column per point.
         f_edges = edges[:, None] + coef[None, :] * s * _phi_y_int((edges[:, None] - 0.5) / s)
-        seg = np.clip((f_edges <= u[None, :]).sum(axis=0) - 1, 0, 4)
+        seg = np.clip((f_edges <= u[None, :]).sum(axis=0) - 1, 0, edges.size - 2)
         left = edges[seg]
         a0 = 1.0 + coef * phi_y((left - 0.5) / s)  # density at the segment's left edge
         slope = coef * _HAT_T_SLOPES[seg] / s
@@ -314,7 +320,7 @@ def _check_amplitude(a: float, signed: bool) -> None:
 def _check_delta(delta: float, full_support: bool) -> None:
     if not 0.0 < delta < 0.25:
         raise ParameterDomainError("delta must lie in (0, 1/4)")
-    if full_support and 0.5 + 3.0 * delta > 1.0 + 1e-15:
+    if full_support and 0.5 + _HAT_T[-1] * delta > 1.0 + 1e-15:
         raise ParameterDomainError(
             "delta too large: perturbation support [1/2-delta, 1/2+3*delta] exits [0, 1]"
         )
@@ -382,7 +388,7 @@ class PerturbedConditional(_HatFamily):
 class Packing(_HatFamily):
     """m covariate bins, each independently perturbed or not per a bit vector.
 
-    Bin j (1-based) of x is min(floor(m*x) + 1, m).  Within bin j,
+    Bin j (1-based) of x is market j - 1 of m equal markets.  Within bin j,
 
         f(y|x) = 1 + (a/m) * alpha_j * phi_y(m*(y-1/2)) * phi_x(m*x - (j-1)),
 
@@ -410,7 +416,7 @@ class Packing(_HatFamily):
 
     def coef(self, x):
         x = np.asarray(x, dtype=float)
-        j0 = np.minimum(np.floor(self.m * x).astype(int), self.m - 1)
+        j0 = _market_of(x, self.m, np.intp)
         bits = np.asarray(self.alpha, dtype=float)
         return (self.a / self.m) * bits[j0] * phi_x(self.m * x - j0)
 

@@ -36,8 +36,8 @@ class QuadratureConfig:
         for panels in (self.y_panels, self.x_panels):
             if not _is_int(panels) or panels < 8 or panels % 2:
                 raise ParameterDomainError("panel counts must be even integers >= 8")
-        if not self.refine_tol > 0.0:
-            raise ParameterDomainError("refine_tol must be positive")
+        if not 0.0 < self.refine_tol < math.inf:  # inf would skip refinement, NaN fails too
+            raise ParameterDomainError("refine_tol must be positive and finite")
 
 
 DEFAULT_QUAD = QuadratureConfig()

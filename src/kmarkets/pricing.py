@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .families import _is_int, Dataset, EmptyDataError, ParameterDomainError
+from .families import _is_int, _market_of, Dataset, EmptyDataError, ParameterDomainError
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,7 @@ class Constant:
 
 @dataclass(frozen=True)
 class KMarkets:
-    """One price per equal-width covariate bin: bin k of x is min(floor(x*K), K-1)."""
+    """One price per equal-width covariate bin; ``families._market_of`` places x."""
 
     k: int
     prices: tuple[float, ...]
@@ -151,12 +151,8 @@ def k_markets_erm_rows(x, y, k: int):
     # the most distinct values any remaining row holds.
     k_eff, distinct = min(k, x.shape[1]), None
     while k_eff > 1:
-        # floor(min(x k, k - 1)) == min(floor(x k), k - 1), held in the
-        # smallest dtype that also holds the per-row bincount keys.
-        scaled = x * k_eff
-        np.minimum(scaled, k_eff - 1, out=scaled)
-        key = np.min_scalar_type(rows.size * k_eff - 1)
-        bins = scaled.astype(key)
+        key = np.min_scalar_type(rows.size * k_eff - 1)  # also holds the per-row bincount keys
+        bins = _market_of(x, k_eff, key)
         keys = bins + np.arange(0, rows.size * k_eff, k_eff, dtype=key)[:, None]
         counts = np.bincount(keys.ravel(), minlength=rows.size * k_eff).reshape(-1, k_eff)
         full = counts.all(axis=1)
@@ -185,7 +181,7 @@ def k_markets_erm(data: Dataset, k: int) -> tuple[PricingFunction, MarketPartiti
         raise ParameterDomainError("k must be an integer >= 1")
     ((_, prices),) = k_markets_erm_rows(data.x[None], data.y[None], k)
     k_eff = prices.shape[1]
-    bins = np.minimum((data.x * k_eff).astype(int), k_eff - 1)
+    bins = _market_of(data.x, k_eff, np.min_scalar_type(k_eff - 1))
     partition = MarketPartition(k, k_eff, tuple(np.flatnonzero(bins == b) for b in range(k_eff)))
     if k_eff == 1:
         return Constant(float(prices[0, 0])), partition
@@ -203,8 +199,7 @@ def price_at(pf, x) -> float | np.ndarray:
     if not ((0.0 <= x) & (x <= 1.0)).all():
         raise ParameterDomainError("covariates must lie in [0, 1]")
     if isinstance(pf, PricingFunction):
-        idx = np.minimum((x * pf.k).astype(int), pf.k - 1)
-        out = np.asarray(pf.prices, dtype=float)[idx]
+        out = np.asarray(pf.prices, dtype=float)[_market_of(x, pf.k, np.intp)]
     elif hasattr(pf, "x_grid"):
         out = np.interp(x, pf.x_grid, pf.prices)
     else:

@@ -159,6 +159,20 @@ def test_cli_simulate_roundtrip(tmp_path, capsys):
     assert float(fields["r_squared"]) == pytest.approx(fit.r_squared, abs=1e-12)
 
 
+def test_cli_rates_reads_a_curve_saved_with_a_byte_order_mark(tmp_path, capsys):
+    plain = tmp_path / "curve.csv"
+    assert main(["simulate", "--family", "power", "--strategy", "uniform",
+                 "--n", "64,128,256", "--reps", "5", "--seed", "1", "--out", str(plain)]) == 0
+    bom = tmp_path / "curve_bom.csv"
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    capsys.readouterr()
+    assert main(["rates", "--curve", str(plain)]) == 0
+    want = capsys.readouterr()
+    assert main(["rates", "--curve", str(bom)]) == 0
+    assert capsys.readouterr() == want
+    assert read_curve(bom) == read_curve(plain)
+
+
 def test_cli_simulate_writes_csv_to_stdout(capsys):
     rc = main([
         "simulate", "--family", "power", "--strategy", "uniform",

@@ -118,6 +118,13 @@ def test_quadrature_config_rejects_non_integer_panels(panels):
         QuadratureConfig(**panels)
 
 
+@pytest.mark.parametrize("tol", [math.inf, -math.inf, math.nan])
+def test_quadrature_config_rejects_a_tolerance_that_is_not_positive_and_finite(tol):
+    # An infinite tolerance would skip golden-section refinement and return a raw grid point.
+    with pytest.raises(ParameterDomainError, match="refine_tol"):
+        QuadratureConfig(refine_tol=tol)
+
+
 @pytest.mark.parametrize("grid_size", [2, 3])
 def test_concavity_margin_rejects_a_grid_with_no_usable_difference(grid_size):
     with pytest.raises(ParameterDomainError, match="grid_size"):
