@@ -6,10 +6,7 @@ separated perturbation patterns, and the localization lemma pinning down
 where each perturbation moves the optimal price.
 """
 
-import numpy as np
-
 from kmarkets import (
-    UniformJoint,
     gilbert_varshamov,
     kl_divergence,
     lemma_c3_check,

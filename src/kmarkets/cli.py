@@ -14,7 +14,6 @@ import csv
 import math
 import sys
 from dataclasses import fields
-from pathlib import Path
 
 from .adversarial import (
     concavity_margin,
@@ -45,7 +44,7 @@ from .families import (
     UniformJoint,
     validate_density,
 )
-from .ingest import IngestError, ingest
+from .ingest import _csv_reader, IngestError, ingest
 from .oracle import QuadratureConfig
 from .pricing import k_markets_erm
 
@@ -75,31 +74,27 @@ def write_curve(points, fh) -> None:
 
 def read_curve(path) -> list[DeficiencyPoint]:
     """Parse a deficiency-curve CSV back into points."""
-    with open(Path(path), newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header is None:
-                raise IngestError("empty curve file")
-            header = [h.strip() for h in header]
-            if tuple(header) != CURVE_COLUMNS:
-                raise IngestError(f"unexpected curve header: {header}")
-            points = []
-            for line_no, row in enumerate(reader, start=2):
-                if not row:
-                    continue
-                try:
-                    n, tag, mean, se, reps, revenue = row  # a short or a long row fails here too
-                    point = DeficiencyPoint(int(n), tag, float(mean), float(se), int(reps), float(revenue))
-                except ValueError:
-                    raise IngestError(f"line {line_no}: malformed curve row of {len(row)} cells") from None
-                if point.n < 1 or point.reps < 1:
-                    raise IngestError(f"line {line_no}: n and reps must be >= 1")
-                if not all(map(math.isfinite, (point.mean_deficiency, point.std_error, point.mean_revenue))):
-                    raise IngestError(f"line {line_no}: non-finite number")
-                points.append(point)
-        except csv.Error as exc:
-            raise IngestError(f"line {reader.line_num}: {exc}") from None
+    with _csv_reader(path) as reader:
+        header = next(reader, None)
+        if header is None:
+            raise IngestError("empty curve file")
+        header = [h.strip() for h in header]
+        if tuple(header) != CURVE_COLUMNS:
+            raise IngestError(f"unexpected curve header: {header}")
+        points = []
+        for line_no, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            try:
+                n, tag, mean, se, reps, revenue = row  # a short or a long row fails here too
+                point = DeficiencyPoint(int(n), tag, float(mean), float(se), int(reps), float(revenue))
+            except ValueError:
+                raise IngestError(f"line {line_no}: malformed curve row of {len(row)} cells") from None
+            if point.n < 1 or point.reps < 1:
+                raise IngestError(f"line {line_no}: n and reps must be >= 1")
+            if not all(map(math.isfinite, (point.mean_deficiency, point.std_error, point.mean_revenue))):
+                raise IngestError(f"line {line_no}: non-finite number")
+            points.append(point)
     if not points:
         raise IngestError("curve file has no data rows")
     return points

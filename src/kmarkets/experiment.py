@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .families import _is_int, _market_of, DistributionSpec, ParameterDomainError, sample_rows
+from .families import _check_unit, _is_int, _market_of, DistributionSpec, ParameterDomainError, sample_rows
 from .oracle import (
     BATCH,
     DEFAULT_QUAD,
@@ -197,8 +197,7 @@ _KINDS = {
 
 def _pointwise_kind(x0: float):
     """(benchmark, metric) of the revenue shortfall at the covariate value x0."""
-    if not 0.0 <= x0 <= 1.0:
-        raise ParameterDomainError("x0 must lie in [0, 1]")
+    _check_unit("x0", x0)
 
     def benchmark(spec, strategy, cfg):
         _, best = _scan_then_refine(partial(pointwise_revenue, spec), np.array([x0], dtype=float), cfg.refine_tol)

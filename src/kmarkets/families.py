@@ -43,6 +43,19 @@ def _is_int(v) -> bool:
     return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
+def _check_unit(what: str, *values) -> None:
+    """Raise ParameterDomainError unless every value lies in [0, 1]: NaN fails, an empty array passes.
+
+    An array is judged by its extremes, which NaN propagates; the initial
+    values 0 and 1 only decide an empty one.  Anything else is compared as
+    given, so a string or None raises TypeError instead of being converted.
+    """
+    for v in values:
+        lo, hi = (v.min(initial=0.0), v.max(initial=1.0)) if isinstance(v, np.ndarray) else (v, v)
+        if not (0.0 <= lo and hi <= 1.0):
+            raise ParameterDomainError(f"{what} must lie in [0, 1]")
+
+
 # phi_y's knot table: piecewise linear through (t, phi), zero outside.  Every hat fact reads it.
 _HAT_T = np.array([-1.0, 0.0, 2.0, 3.0])
 _HAT_PHI = np.array([0.0, 1.0, -1.0, 0.0])
@@ -78,16 +91,10 @@ def phi_x(t):
     and the two lobes cancel exactly in the integral.
     """
     t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    t = np.atleast_1d(t)
-    out = np.zeros_like(t)
-    for lo, hi, sign in ((0.0, 0.5, 1.0), (0.5, 1.0, -1.0)):
-        mask = (t > lo) & (t < hi)
-        if np.any(mask):
-            z = 4.0 * t[mask] - (4.0 * lo + 1.0)
-            with np.errstate(divide="ignore"):  # 1 - z*z rounds to 0 at a lobe edge; exp(-inf) = 0
-                out[mask] = sign * np.exp(-z * z / (1.0 - z * z))
-    return float(out[0]) if scalar else out
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # only |z| >= 1 warns; where drops it
+        z = 4.0 * t - np.where(t < 0.5, 1.0, 3.0)  # each lobe's t mapped onto z in (-1, 1)
+        out = np.where(np.abs(z) < 1.0, np.sign(0.5 - t) * np.exp(-z * z / (1.0 - z * z)), 0.0)
+    return out if out.ndim else float(out)
 
 
 def _market_of(x, k, dtype):
@@ -119,9 +126,7 @@ class Dataset:
             raise ParameterDomainError("y and x must be 1-d arrays of equal length")
         if y.size == 0:
             raise EmptyDataError("dataset must contain at least one point")
-        # Written so that NaN, which min/max propagate, fails the check.
-        if not (0.0 <= y.min() and y.max() <= 1.0 and 0.0 <= x.min() and x.max() <= 1.0):
-            raise ParameterDomainError("valuations and covariates must lie in [0, 1]")
+        _check_unit("valuations and covariates", y, x)
         y = y.copy()
         x = x.copy()
         y.flags.writeable = False
@@ -455,9 +460,7 @@ def sample_rows(spec: DistributionSpec, n: int, seeds) -> tuple[np.ndarray, np.n
         rng.random(out=x_row)
         rng.random(out=u_row)
     y = spec.ppf(u, x)
-    # Written so that NaN, which min/max propagate, fails the check.
-    if not (0.0 <= y.min() and y.max() <= 1.0):
-        raise ParameterDomainError("valuations and covariates must lie in [0, 1]")
+    _check_unit("valuations and covariates", y)
     return x, y
 
 

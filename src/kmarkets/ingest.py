@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -42,6 +43,19 @@ class IngestReport:
     x_max: float
 
 
+@contextmanager
+def _csv_reader(path):
+    """A csv reader over a UTF-8 file, BOM optional; a bad record or non-UTF-8 byte raises IngestError."""
+    with open(Path(path), newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except csv.Error as exc:
+            raise IngestError(f"line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise IngestError(f"input is not UTF-8: byte {exc.object[exc.start]:#04x} ({exc.reason})") from None
+
+
 def _normalize(values: np.ndarray) -> np.ndarray:
     lo, hi = float(values.min()), float(values.max())
     if hi > lo:
@@ -67,54 +81,48 @@ def ingest(path, has_header: bool = True) -> tuple[Dataset, IngestReport]:
     top: dict[str, float] = {}  # bidder -> highest bid, first occurrence wins ties
     rating_of: dict[str, float] = {}  # bidder -> rating of the row holding that bid
     rows_read = 0
-    with open(Path(path), newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            col = range(len(COLUMNS))  # without a header, the columns come in COLUMNS order
-            start_line = 1
-            if has_header:
-                header = next(reader, None)
-                if header is None:
-                    raise IngestError("empty input: no header row")
-                names = [h.strip() for h in header]
-                for name in COLUMNS:
-                    if name not in names:
-                        raise IngestError(f"missing column '{name}'")
-                col = [names.index(name) for name in COLUMNS]
-                start_line = 2
-            _, bid_i, bidder_i, rating_i = col
-            needed = max(col) + 1
-            # A blank row is short or has an unparsable bid or rating, so it
-            # is tested for only where one of those checks fails.
-            for line_no, row in enumerate(reader, start=start_line):
-                if len(row) < needed:
-                    if _blank(row):
-                        continue
-                    raise IngestError(f"line {line_no}: expected {needed} columns, got {len(row)}")
-                try:
-                    bid = float(row[bid_i])
-                    rating = float(row[rating_i])
-                except ValueError:
-                    if _blank(row):
-                        continue
-                    raise IngestError(f"line {line_no}: non-numeric bid or rating") from None
-                if not 0.0 <= bid < math.inf:
-                    raise IngestError(f"line {line_no}: {'negative' if bid < 0.0 else 'non-finite'} bid")
-                if not -math.inf < rating < math.inf:
-                    raise IngestError(f"line {line_no}: non-finite rating")
-                rows_read += 1
-                bidder = row[bidder_i].strip()
-                if not bidder:
-                    raise IngestError(f"line {line_no}: blank bidder_id")
-                # Bids are >= 0, so a new bidder always enters; an update
-                # keeps the bidder's first-appearance slot in both dicts.
-                if bid > top.get(bidder, -1.0):
-                    top[bidder] = bid
-                    rating_of[bidder] = rating
-        except csv.Error as exc:
-            raise IngestError(f"line {reader.line_num}: {exc}") from None
-        except UnicodeDecodeError as exc:
-            raise IngestError(f"input is not UTF-8: byte {exc.object[exc.start]:#04x} ({exc.reason})") from None
+    with _csv_reader(path) as reader:
+        col = range(len(COLUMNS))  # without a header, the columns come in COLUMNS order
+        start_line = 1
+        if has_header:
+            header = next(reader, None)
+            if header is None:
+                raise IngestError("empty input: no header row")
+            names = [h.strip() for h in header]
+            for name in COLUMNS:
+                if name not in names:
+                    raise IngestError(f"missing column '{name}'")
+            col = [names.index(name) for name in COLUMNS]
+            start_line = 2
+        _, bid_i, bidder_i, rating_i = col
+        needed = max(col) + 1
+        # A blank row is short or has an unparsable bid or rating, so it
+        # is tested for only where one of those checks fails.
+        for line_no, row in enumerate(reader, start=start_line):
+            if len(row) < needed:
+                if _blank(row):
+                    continue
+                raise IngestError(f"line {line_no}: expected {needed} columns, got {len(row)}")
+            try:
+                bid = float(row[bid_i])
+                rating = float(row[rating_i])
+            except ValueError:
+                if _blank(row):
+                    continue
+                raise IngestError(f"line {line_no}: non-numeric bid or rating") from None
+            if not 0.0 <= bid < math.inf:
+                raise IngestError(f"line {line_no}: {'negative' if bid < 0.0 else 'non-finite'} bid")
+            if not -math.inf < rating < math.inf:
+                raise IngestError(f"line {line_no}: non-finite rating")
+            rows_read += 1
+            bidder = row[bidder_i].strip()
+            if not bidder:
+                raise IngestError(f"line {line_no}: blank bidder_id")
+            # Bids are >= 0, so a new bidder always enters; an update
+            # keeps the bidder's first-appearance slot in both dicts.
+            if bid > top.get(bidder, -1.0):
+                top[bidder] = bid
+                rating_of[bidder] = rating
     if not rows_read:
         raise IngestError("no usable rows in input")
     bids = np.fromiter(top.values(), float, len(top))

@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .families import _is_int, _simpson_rule, DistributionSpec, ParameterDomainError
+from .families import _check_unit, _is_int, _simpson_rule, DistributionSpec, ParameterDomainError
 from .pricing import PricingFunction, price_at
 
 GRID_POINTS = 4097  # scan grid for all price maximizations
@@ -55,11 +55,10 @@ class TabulatedPolicy:
         pr = np.asarray(self.prices, dtype=float)
         if xg.ndim != 1 or xg.shape != pr.shape or xg.size < 2:
             raise ParameterDomainError("x_grid and prices must be equal-length 1-d arrays")
-        # Written so that NaN, which diff, min and max propagate, fails the checks.
+        # Written so that NaN, which diff propagates, fails the check.
         if not (np.all(np.diff(xg) > 0.0) and 0.0 <= xg[0] and xg[-1] <= 1.0):
             raise ParameterDomainError("x_grid must be strictly increasing within [0, 1]")
-        if not (0.0 <= pr.min() and pr.max() <= 1.0):
-            raise ParameterDomainError("prices must lie in [0, 1]")
+        _check_unit("prices", pr)
         xg, pr = xg.copy(), pr.copy()
         xg.flags.writeable = False
         pr.flags.writeable = False
@@ -81,9 +80,7 @@ def marginal_y_cdf(spec: DistributionSpec, p, cfg: QuadratureConfig = DEFAULT_QU
     lone row differently from the same row inside a larger block.
     """
     p = np.asarray(p, dtype=float)
-    # Written so that NaN fails the check and no temporary is made.
-    if p.size and not (0.0 <= p.min() and p.max() <= 1.0):
-        raise ParameterDomainError("prices must lie in [0, 1]")
+    _check_unit("prices", p)
     if spec.x_independent:  # the x-average is free
         return spec.conditional_cdf(p, 0.5)
     xs, w = _simpson_rule(cfg.x_panels)

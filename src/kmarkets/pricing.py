@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .families import _is_int, _market_of, Dataset, EmptyDataError, ParameterDomainError
+from .families import _check_unit, _is_int, _market_of, Dataset, EmptyDataError, ParameterDomainError
 
 
 @dataclass(frozen=True)
@@ -26,8 +26,7 @@ class Constant:
     k = 1  # a class attribute, not a field
 
     def __post_init__(self):
-        if not 0.0 <= self.p <= 1.0:
-            raise ParameterDomainError("price must lie in [0, 1]")
+        _check_unit("price", self.p)
 
     @property
     def prices(self) -> tuple[float]:
@@ -46,8 +45,8 @@ class KMarkets:
             raise ParameterDomainError("market count must be an integer >= 1")
         if len(self.prices) != self.k:
             raise ParameterDomainError("need exactly one price per market")
-        if any(not 0.0 <= p <= 1.0 for p in self.prices):
-            raise ParameterDomainError("prices must lie in [0, 1]")
+        object.__setattr__(self, "prices", tuple(self.prices))  # a list would stay mutable after the check
+        _check_unit("prices", *self.prices)
 
 
 PricingFunction = Union[Constant, KMarkets]
@@ -67,11 +66,8 @@ def empirical_demand(valuations, p: float) -> float:
     v = np.asarray(valuations, dtype=float)
     if v.size == 0:
         raise EmptyDataError("empirical demand of an empty sample")
-    # Written so that NaN, which min/max propagate, fails the check.
-    if not (0.0 <= v.min() and v.max() <= 1.0):
-        raise ParameterDomainError("valuations must lie in [0, 1]")
-    if not 0.0 <= p <= 1.0:
-        raise ParameterDomainError("price must lie in [0, 1]")
+    _check_unit("valuations", v)
+    _check_unit("price", p)
     return float(np.count_nonzero(v >= p)) / v.size
 
 
@@ -99,14 +95,13 @@ def uniform_erm(valuations) -> float:
     """Revenue-maximizing single price over the sample's own values.
 
     Returns the lowest maximizer, which is always one of the sample values.
-    Valuations must lie in [0, 1]; NaN and inf are rejected.  The one-row
-    case of ``uniform_erm_rows``.
+    Valuations outside [0, 1], NaN and inf among them, are rejected.  The
+    one-row case of ``uniform_erm_rows``.
     """
     v = np.sort(np.asarray(valuations, dtype=float).ravel())
     if v.size == 0:
         raise EmptyDataError("cannot price an empty sample")
-    if not (v[0] >= 0.0 and v[-1] <= 1.0):  # NaN sorts last, so it fails too
-        raise ParameterDomainError("valuations must lie in [0, 1]")
+    _check_unit("valuations", v[[0, -1]])  # the sorted endpoints; NaN sorts last
     return float(_erm_sorted(v[None], v.size)[0])
 
 
@@ -195,9 +190,7 @@ def price_at(pf, x) -> float | np.ndarray:
     carrying x_grid and prices arrays (interpolated linearly).
     """
     x = np.asarray(x, dtype=float)
-    # Written so that NaN fails the check.
-    if not ((0.0 <= x) & (x <= 1.0)).all():
-        raise ParameterDomainError("covariates must lie in [0, 1]")
+    _check_unit("covariates", x)
     if isinstance(pf, PricingFunction):
         out = np.asarray(pf.prices, dtype=float)[_market_of(x, pf.k, np.intp)]
     elif hasattr(pf, "x_grid"):

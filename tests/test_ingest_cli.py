@@ -300,3 +300,17 @@ def test_cli_pointwise(capsys):
     assert lines[0] == "n,strategy,mean_deficiency,std_error,reps,mean_revenue"
     assert len(lines) == 3
     assert lines[1].startswith("64,k=4,")
+
+
+def test_cli_rates_names_a_curve_that_is_not_utf8(tmp_path, capsys):
+    plain = tmp_path / "curve.csv"
+    assert main(["simulate", "--family", "power", "--strategy", "uniform",
+                 "--n", "64,128,256", "--reps", "5", "--seed", "1", "--out", str(plain)]) == 0
+    utf16 = tmp_path / "curve_utf16.csv"
+    utf16.write_bytes(plain.read_text().encode("utf-16"))
+    with pytest.raises(IngestError, match=r"^input is not UTF-8: byte 0xff \(invalid start byte\)$"):
+        read_curve(utf16)
+    capsys.readouterr()
+    assert main(["rates", "--curve", str(utf16)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "error: input is not UTF-8: byte 0xff (invalid start byte)" in err

@@ -4,7 +4,9 @@ The market rule puts covariate x in market min(floor(x k), k - 1) of k
 equal-width bins; the K-markets fit, its partition, ``price_at``, the
 pointwise metric and the packing family's m bins all read it.  The hat
 ``phi_y`` is read off one knot table and must equal, bit for bit, the
-``np.select`` form it replaced, kept here as the reference.
+``np.select`` form it replaced, kept here as the reference.  So must the
+covariate bump ``phi_x``, one ``np.where`` over both lobes, equal the
+per-lobe loop it replaced.
 """
 
 import math
@@ -17,7 +19,7 @@ from hypothesis import strategies as st
 from kmarkets import Dataset, KMarkets, Packing, UniformJoint, k_markets_erm, price_at
 from kmarkets import families
 from kmarkets.experiment import _pointwise_gap
-from kmarkets.families import phi_y
+from kmarkets.families import phi_x, phi_y
 from kmarkets.oracle import DEFAULT_QUAD, pointwise_revenue
 
 
@@ -33,6 +35,20 @@ def reference_phi_y(t):
         default=0.0,
     )
     return out if out.ndim else float(out)
+
+
+def reference_phi_x(t):
+    t = np.asarray(t, dtype=float)
+    scalar = t.ndim == 0
+    t = np.atleast_1d(t)
+    out = np.zeros_like(t)
+    for lo, hi, sign in ((0.0, 0.5, 1.0), (0.5, 1.0, -1.0)):
+        mask = (t > lo) & (t < hi)
+        if np.any(mask):
+            z = 4.0 * t[mask] - (4.0 * lo + 1.0)
+            with np.errstate(divide="ignore"):
+                out[mask] = sign * np.exp(-z * z / (1.0 - z * z))
+    return float(out[0]) if scalar else out
 
 
 @st.composite
@@ -120,3 +136,31 @@ def test_phi_y_of_nan_is_nan():
     # The select form returned 0.0 here: a plausible number for bad input.
     assert math.isnan(phi_y(math.nan))
     assert np.isnan(phi_y(np.array([0.5, math.nan]))).tolist() == [False, True]
+
+
+def test_phi_x_equals_the_per_lobe_loop_bit_for_bit():
+    rng = np.random.default_rng(11)
+    edges = np.array([0.0, 0.25, 0.5, 0.75, 1.0])
+    x = rng.uniform(0.0, 1.0, 20_000)
+    t = np.concatenate(
+        [
+            rng.uniform(-0.5, 1.5, 200_000),
+            edges,
+            np.nextafter(edges, -np.inf),
+            np.nextafter(edges, np.inf),
+            [np.inf, -np.inf, np.nan, -0.0, 5e-324, 1e-17],
+            *[m * x - np.floor(m * x) for m in (8, 16, 64)],
+        ]
+    )
+    assert phi_x(t).tobytes() == reference_phi_x(t).tobytes()
+    grid = t[:200_000].reshape(-1, 8)
+    assert phi_x(grid).tobytes() == reference_phi_x(grid).tobytes()
+    for v in (0.0, 0.25, 0.5, 0.75, 1.0, 0.1, np.nan):
+        assert type(phi_x(v)) is float
+        assert np.float64(phi_x(v)).tobytes() == np.float64(reference_phi_x(v)).tobytes()
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.floats())
+def test_phi_x_equals_the_per_lobe_loop_on_any_float(t):
+    assert np.float64(phi_x(t)).tobytes() == np.float64(reference_phi_x(t)).tobytes()

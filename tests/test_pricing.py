@@ -202,3 +202,15 @@ def test_k_schedule_ebay_is_exact_around_fourth_powers():
     # where a float n**0.25 rounds up to the next integer
     assert k_schedule(10**16 - 1, "ebay") == 19992
     assert k_schedule(30_000**4 - 1, "ebay") == 2 * 30_000 - 1 - 7
+
+
+def test_k_markets_keeps_the_prices_it_checked():
+    want = KMarkets(2, (0.1, 0.2))
+    for given in ([0.1, 0.2], np.array([0.1, 0.2])):
+        pf = KMarkets(2, given)
+        assert type(pf.prices) is tuple
+        assert pf == want and hash(pf) == hash(want)
+    source = [0.1, 0.2]
+    pf = KMarkets(2, source)
+    source[0] = 7.0
+    assert pf.prices == (0.1, 0.2) and price_at(pf, 0.1) == 0.1
