@@ -16,6 +16,7 @@ from itertools import combinations
 import numpy as np
 
 from .families import (
+    _check_count,
     _is_int,
     _simpson_rule,
     DistributionSpec,
@@ -177,6 +178,15 @@ class Codebook:
         w.flags.writeable = False
         object.__setattr__(self, "words", w)
 
+    @classmethod
+    def _own(cls, m: int, words: np.ndarray) -> "Codebook":
+        """A codebook holding a uint8 matrix no one else references, frozen in place: no copy."""
+        words.flags.writeable = False
+        book = object.__new__(cls)
+        object.__setattr__(book, "m", m)
+        object.__setattr__(book, "words", words)
+        return book
+
 
 def gilbert_varshamov(m: int) -> Codebook:
     """Greedy lexicographic binary code (lexicode) with minimum distance ceil(m/8).
@@ -217,7 +227,7 @@ def gilbert_varshamov(m: int) -> Codebook:
         code = np.concatenate([code, code ^ b])
     # Each word shifted to the top of 4 big-endian bytes, so its m bits unpack first, MSB first.
     packed = (code << (32 - m)).astype(">u4").view(np.uint8).reshape(-1, 4)
-    return Codebook(m=m, words=np.unpackbits(packed, axis=1, count=m))
+    return Codebook._own(m, np.unpackbits(packed, axis=1, count=m))
 
 
 def packing_price_separation(
@@ -280,8 +290,7 @@ def concavity_margin(b: float, delta: float, grid_size: int = 10000) -> float:
     stays below -C*.
     """
     spec = PerturbedUniform(a=b, delta=delta)
-    if not (_is_int(grid_size) and grid_size >= 3):
-        raise ParameterDomainError("grid_size must be an integer >= 3")
+    _check_count("grid_size", grid_size, 3)
     ys = np.linspace(0.0, 1.0, grid_size)
     h = ys[1] - ys[0]
     rev = ys * (1.0 - marginal_y_cdf(spec, ys))

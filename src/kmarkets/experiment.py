@@ -28,7 +28,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .families import _check_unit, _is_int, _market_of, DistributionSpec, ParameterDomainError, sample_rows
+from .families import _check_count, _check_unit_number, _is_int, _market_of
+from .families import DistributionSpec, ParameterDomainError, sample_rows
 from .oracle import (
     BATCH,
     DEFAULT_QUAD,
@@ -66,8 +67,8 @@ class Strategy:
             raise ParameterDomainError("kmarkets needs exactly one of k or schedule")
         if self.kind == "uniform" and (self.k is not None or self.schedule is not None):
             raise ParameterDomainError("uniform is the one-market ERM: it takes no k or schedule")
-        if self.k is not None and not (_is_int(self.k) and self.k >= 1):
-            raise ParameterDomainError("market count must be a positive integer")
+        if self.k is not None:
+            _check_count("market count", self.k)
         if self.schedule is not None and self.schedule not in ("theory", "sim", "ebay"):
             raise ParameterDomainError(f"unknown schedule variant: {self.schedule!r}")
 
@@ -197,7 +198,7 @@ _KINDS = {
 
 def _pointwise_kind(x0: float):
     """(benchmark, metric) of the revenue shortfall at the covariate value x0."""
-    _check_unit("x0", x0)
+    _check_unit_number("x0", x0)
 
     def benchmark(spec, strategy, cfg):
         _, best = _scan_then_refine(partial(pointwise_revenue, spec), np.array([x0], dtype=float), cfg.refine_tol)
@@ -266,10 +267,8 @@ def _curves(spec, arms, ns, reps, base_seed, cfg, workers):
     once; the chunk plan is made once, and with more than one chunk one pool
     serves every arm and size.  Returns one list of points per arm.
     """
-    if not (_is_int(reps) and reps >= 1):
-        raise ParameterDomainError("need a positive integer number of replications")
-    if not (_is_int(workers) and workers >= 1):
-        raise ParameterDomainError("need a positive integer number of workers")
+    _check_count("replications", reps)
+    _check_count("workers", workers)
     if not (_is_int(base_seed) and base_seed >= 0):
         raise ParameterDomainError(f"seed must be a non-negative integer, got {base_seed!r}")
     ns = _check_n_list(ns)

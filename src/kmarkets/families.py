@@ -56,6 +56,19 @@ def _check_unit(what: str, *values) -> None:
             raise ParameterDomainError(f"{what} must lie in [0, 1]")
 
 
+def _check_unit_number(what: str, *values) -> None:
+    """``_check_unit`` for values that are each one number: an array of any size is refused."""
+    if any(np.ndim(v) for v in values):
+        raise ParameterDomainError(f"{what} must be one number")
+    _check_unit(what, *values)
+
+
+def _check_count(what: str, v, lo: int = 1) -> None:
+    """Raise ParameterDomainError unless v is an integer (not a bool) of at least lo."""
+    if not (_is_int(v) and v >= lo):
+        raise ParameterDomainError(f"{what} must be an integer >= {lo}")
+
+
 # phi_y's knot table: piecewise linear through (t, phi), zero outside.  Every hat fact reads it.
 _HAT_T = np.array([-1.0, 0.0, 2.0, 3.0])
 _HAT_PHI = np.array([0.0, 1.0, -1.0, 0.0])
@@ -236,21 +249,14 @@ class PowerSimulated(DistributionSpec):
 _HAT_T_SLOPES = np.pad(np.diff(_HAT_PHI) / np.diff(_HAT_T), 1)  # phi_y slope per segment
 
 
-def _broadcast_to_args(vals, y, x):
-    # A fresh array of the broadcast shape of (y, x), or a float for scalars:
-    # a factor that ignores one argument (a scalar coef) leaves vals short.
-    shape = np.broadcast_shapes(y.shape, x.shape)
-    return vals if np.shape(vals) == shape else np.broadcast_to(vals, shape).copy()
-
-
 class _HatFamily(DistributionSpec):
     """f(y|x) = 1 + coef(x) * phi_y((y - 1/2) / scale), exact piecewise.
 
-    Subclasses supply ``coef(x)`` and ``scale``.  The density is linear on
-    each segment between ``y_knots``, which is what makes CDFs, inverse
-    CDFs, partial expectations and normalization checks exact.  Density and
-    CDF are separable: the y factor is evaluated on y's own shape and coef
-    on x's own shape, and only the final sum broadcasts.
+    Subclasses supply ``scale`` and ``coef(x)``, which has x's shape (a
+    float for a scalar x).  The density is linear on each segment between
+    ``y_knots``, which makes CDFs, inverse CDFs, partial expectations and
+    normalization checks exact.  Density and CDF are separable: the y factor
+    is evaluated on y's own shape and coef on x's, and only the sum broadcasts.
     """
 
     @property
@@ -261,18 +267,18 @@ class _HatFamily(DistributionSpec):
 
     def conditional_density(self, y, x):
         y, x = np.asarray(y, float), np.asarray(x, float)
-        return _broadcast_to_args(1.0 + self.coef(x) * phi_y((y - 0.5) / self.scale), y, x)
+        return 1.0 + self.coef(x) * phi_y((y - 0.5) / self.scale)
 
     def conditional_cdf(self, y, x):
         y, x = np.asarray(y, float), np.asarray(x, float)
         s = self.scale
-        return _broadcast_to_args(y + self.coef(x) * s * _phi_y_int((y - 0.5) / s), y, x)
+        return y + self.coef(x) * s * _phi_y_int((y - 0.5) / s)
 
     def ppf(self, u, x):
         u, x = np.broadcast_arrays(np.asarray(u, float), np.asarray(x, float))
         s = self.scale
         shape = u.shape
-        coef = np.broadcast_to(np.asarray(self.coef(x), dtype=float), shape).ravel()
+        coef = np.asarray(self.coef(x), dtype=float).ravel()
         u = u.ravel()
         edges = self.y_knots
         # CDF at the segment edges, one column per point.
@@ -308,8 +314,7 @@ class _HatFamily(DistributionSpec):
     def normalization(self, xs):
         # Trapezoid on the knots is exact for a piecewise-linear density.
         edges = self.y_knots
-        coef = np.broadcast_to(self.coef(xs), xs.shape)
-        f_edges = 1.0 + coef[None, :] * phi_y((edges[:, None] - 0.5) / self.scale)
+        f_edges = 1.0 + self.coef(xs)[None, :] * phi_y((edges[:, None] - 0.5) / self.scale)
         widths = np.diff(edges)
         return 0.5 * ((f_edges[:-1] + f_edges[1:]) * widths[:, None]).sum(axis=0)
 
@@ -354,7 +359,8 @@ class PerturbedUniform(_HatFamily):
         return self.delta
 
     def coef(self, x):
-        return self.a * self.delta  # a scalar: the law does not depend on x
+        out = np.full(np.shape(x), self.a * self.delta)  # the law does not depend on x
+        return out if out.ndim else float(out)
 
 
 @dataclass(frozen=True)
@@ -406,8 +412,7 @@ class Packing(_HatFamily):
     alpha: tuple[int, ...]
 
     def __post_init__(self):
-        if not (_is_int(self.m) and self.m >= 8):
-            raise ParameterDomainError("m must be an integer >= 8")
+        _check_count("m", self.m, 8)
         object.__setattr__(self, "m", int(self.m))
         _check_amplitude(self.a, signed=False)
         alpha = tuple(self.alpha)  # checked as given: int() would truncate 0.9 to a 0 bit
@@ -449,8 +454,7 @@ def sample_rows(spec: DistributionSpec, n: int, seeds) -> tuple[np.ndarray, np.n
     covariates first, then the uniforms that the family's ``ppf`` turns into
     valuations, so a fixed seed pins its row bit for bit in any block.
     """
-    if not (_is_int(n) and n >= 1):
-        raise ParameterDomainError("sample size must be an integer >= 1")
+    _check_count("sample size", n)
     x = np.empty((len(seeds), n))
     u = np.empty_like(x)
     for seed, x_row, u_row in zip(seeds, x, u):
@@ -483,8 +487,7 @@ def validate_density(spec: DistributionSpec, x_grid_size: int = 101) -> DensityR
     reports the smallest density value seen on a y/x evaluation grid that
     includes the family's ``y_knots``.
     """
-    if not (_is_int(x_grid_size) and x_grid_size >= 2):
-        raise ParameterDomainError("x_grid_size must be an integer >= 2")
+    _check_count("x_grid_size", x_grid_size, 2)
     xs = np.linspace(0.0, 1.0, x_grid_size)
     ys = np.union1d(np.linspace(0.0, 1.0, 2049), spec.y_knots)
     dens = spec.conditional_density(ys[:, None], xs[None, :])

@@ -14,7 +14,7 @@ from functools import partial
 
 import numpy as np
 
-from .families import _check_unit, _is_int, _simpson_rule, DistributionSpec, ParameterDomainError
+from .families import _check_count, _check_unit, _is_int, _simpson_rule, DistributionSpec, ParameterDomainError
 from .pricing import PricingFunction, price_at
 
 GRID_POINTS = 4097  # scan grid for all price maximizations
@@ -165,8 +165,7 @@ def optimal_3pd_policy(
     cfg: QuadratureConfig = DEFAULT_QUAD,
 ) -> TabulatedPolicy:
     """Tabulate the pointwise-optimal price p*(x) on a covariate grid."""
-    if not _is_int(x_grid_size) or x_grid_size < 2:
-        raise ParameterDomainError("x_grid_size must be an integer >= 2")
+    _check_count("x_grid_size", x_grid_size, 2)
     xs = np.linspace(0.0, 1.0, x_grid_size)
     prices, _ = _scan_then_refine(partial(pointwise_revenue, spec), xs, cfg.refine_tol)
     return TabulatedPolicy(x_grid=xs, prices=prices)

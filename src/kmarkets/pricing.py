@@ -15,7 +15,8 @@ from typing import Union
 
 import numpy as np
 
-from .families import _check_unit, _is_int, _market_of, Dataset, EmptyDataError, ParameterDomainError
+from .families import _check_count, _check_unit, _check_unit_number, _market_of
+from .families import Dataset, EmptyDataError, ParameterDomainError
 
 
 @dataclass(frozen=True)
@@ -26,7 +27,7 @@ class Constant:
     k = 1  # a class attribute, not a field
 
     def __post_init__(self):
-        _check_unit("price", self.p)
+        _check_unit_number("price", self.p)
 
     @property
     def prices(self) -> tuple[float]:
@@ -41,12 +42,11 @@ class KMarkets:
     prices: tuple[float, ...]
 
     def __post_init__(self):
-        if not (_is_int(self.k) and self.k >= 1):
-            raise ParameterDomainError("market count must be an integer >= 1")
+        _check_count("market count", self.k)
         if len(self.prices) != self.k:
             raise ParameterDomainError("need exactly one price per market")
         object.__setattr__(self, "prices", tuple(self.prices))  # a list would stay mutable after the check
-        _check_unit("prices", *self.prices)
+        _check_unit_number("prices", *self.prices)
 
 
 PricingFunction = Union[Constant, KMarkets]
@@ -67,7 +67,7 @@ def empirical_demand(valuations, p: float) -> float:
     if v.size == 0:
         raise EmptyDataError("empirical demand of an empty sample")
     _check_unit("valuations", v)
-    _check_unit("price", p)
+    _check_unit_number("price", p)
     return float(np.count_nonzero(v >= p)) / v.size
 
 
@@ -172,8 +172,7 @@ def k_markets_erm(data: Dataset, k: int) -> tuple[PricingFunction, MarketPartiti
     in which case a Constant pricing function is returned.  The one-row
     case of ``k_markets_erm_rows``.
     """
-    if not (_is_int(k) and k >= 1):
-        raise ParameterDomainError("k must be an integer >= 1")
+    _check_count("k", k)
     ((_, prices),) = k_markets_erm_rows(data.x[None], data.y[None], k)
     k_eff = prices.shape[1]
     bins = _market_of(data.x, k_eff, np.min_scalar_type(k_eff - 1))
@@ -207,8 +206,7 @@ def k_schedule(n: int, variant: str = "theory", fixed: int | None = None) -> int
     fifth of the theory count; fixed: the given constant.  All floored at 1
     and computed in exact integer arithmetic.
     """
-    if not (_is_int(n) and n >= 1):
-        raise ParameterDomainError("sample size must be an integer >= 1")
+    _check_count("sample size", n)
     root = math.isqrt(math.isqrt(n))  # exact floor(n^(1/4))
     if variant == "theory":
         return max(1, root)
@@ -217,7 +215,6 @@ def k_schedule(n: int, variant: str = "theory", fixed: int | None = None) -> int
     if variant == "ebay":
         return max(1, math.isqrt(math.isqrt(16 * n)) - 7)  # floor(2 n^(1/4)) == floor((16 n)^(1/4))
     if variant == "fixed":
-        if not (_is_int(fixed) and fixed >= 1):
-            raise ParameterDomainError("fixed schedule needs a positive integer market count")
+        _check_count("fixed market count", fixed)
         return fixed
     raise ParameterDomainError(f"unknown schedule variant: {variant!r}")

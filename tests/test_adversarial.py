@@ -1,6 +1,7 @@
 """Divergence bounds, codebooks, and the price-localization lemmas."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -220,6 +221,18 @@ def test_codebook_words_are_a_fresh_frozen_copy(source):
     assert words.dtype == np.uint8 and np.array_equal(words, source)
     assert not words.flags.writeable
     assert not np.shares_memory(words, np.asarray(source))
+
+
+def test_gilbert_varshamov_hands_its_words_over_without_a_copy():
+    tracemalloc.start()
+    try:
+        words = gilbert_varshamov(24).words
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert words.shape == (1 << 19, 24) and words.dtype == np.uint8
+    assert not words.flags.writeable
+    assert peak < 24 * 2**20  # the 12.6 MB matrix and its packed source, but no second copy of it
 
 
 def test_separation_zero_for_equal_patterns():

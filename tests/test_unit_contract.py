@@ -2,7 +2,8 @@
 
 Each entry point that takes such a value rejects NaN, both infinities and
 the nearest floats outside the unit interval with a ParameterDomainError
-naming its subject, and accepts both zeros and one.
+naming its subject, and accepts both zeros and one.  A site that takes one
+number refuses an array of any size.
 """
 
 import math
@@ -75,6 +76,26 @@ def test_every_site_accepts_both_zeros_and_one(site, value):
 def test_a_value_that_is_not_a_number_is_not_converted(call):
     with pytest.raises(TypeError):
         call()
+
+
+# The sites of SITES that take one number, not an array.
+ONE_NUMBER = ["Constant", "KMarkets", "empirical_demand-price", "pointwise-x0"]
+
+
+@pytest.mark.parametrize("value", [np.array([0.3]), np.array([0.3, 0.7])], ids=["size-1", "size-2"])
+@pytest.mark.parametrize("site", ONE_NUMBER)
+def test_a_site_that_takes_one_number_refuses_an_array(site, value):
+    call, subject = SITES[site]
+    with pytest.raises(ParameterDomainError) as exc:
+        call(value)
+    assert str(exc.value) == f"{subject} must be one number"
+
+
+@pytest.mark.parametrize("value", [np.array(0.3), np.float64(0.3), np.float32(0.3)], ids=repr)
+@pytest.mark.parametrize("site", ONE_NUMBER)
+def test_a_site_that_takes_one_number_accepts_a_numpy_scalar(site, value):
+    call, _ = SITES[site]
+    call(value)
 
 
 def test_no_seeds_sample_an_empty_block():
