@@ -17,6 +17,7 @@ import numpy as np
 
 from .families import (
     _check_count,
+    _frozen_copy,
     _is_int,
     _simpson_rule,
     DistributionSpec,
@@ -24,8 +25,6 @@ from .families import (
     ParameterDomainError,
     PerturbedUniform,
     UniformJoint,
-    phi_x,
-    phi_y,
 )
 from .oracle import (
     BLOCK,
@@ -35,22 +34,6 @@ from .oracle import (
     optimal_3pd_policy,
     optimal_uniform_price,
 )
-
-__all__ = [
-    "phi_y",
-    "phi_x",
-    "hellinger_sq",
-    "kl_divergence",
-    "DivergenceReport",
-    "marginal_perturbation_report",
-    "Codebook",
-    "gilbert_varshamov",
-    "packing_price_separation",
-    "LemmaC3Result",
-    "lemma_c3_check",
-    "concavity_margin",
-    "SupportViolationError",
-]
 
 # Analytic Hellinger bound constant for the marginal hat perturbation:
 # H^2 <= (2*sqrt(2)/3) * a^2 * delta^3.
@@ -168,15 +151,25 @@ def marginal_perturbation_report(
 
 @dataclass(frozen=True)
 class Codebook:
-    """Binary code of length m; rows of words are the codewords (MSB first)."""
+    """Binary code of length m; rows of words are the codewords (MSB first).
+
+    words must be a nonempty matrix of m columns whose every entry equals 0
+    or 1 (bools and 0.0/1.0 included); it is kept as a read-only uint8 copy.
+    """
 
     m: int
     words: np.ndarray
 
     def __post_init__(self):
-        w = np.array(self.words, dtype=np.uint8)  # a fresh copy for any input
-        w.flags.writeable = False
-        object.__setattr__(self, "words", w)
+        _check_count("m", self.m)
+        try:
+            w = np.asarray(self.words)
+        except ValueError:  # a ragged nested list
+            w = None
+        # Checked as given: the uint8 cast would truncate 0.5 and wrap 300.
+        if w is None or w.ndim != 2 or w.shape[0] < 1 or w.shape[1] != self.m or not np.isin(w, (0, 1)).all():
+            raise ParameterDomainError(f"words must be a nonempty 0/1 matrix of m={self.m} columns")
+        object.__setattr__(self, "words", _frozen_copy(w, np.uint8))
 
     @classmethod
     def _own(cls, m: int, words: np.ndarray) -> "Codebook":

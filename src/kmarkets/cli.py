@@ -2,7 +2,8 @@
 
 Subcommands: price, simulate, pointwise, welfare, rates, crossing, and a
 family of adversarial checks.  Exit codes: 0 success, 1 usage error, 2
-data or parameter error.  Every randomized command requires --seed.  All
+data or parameter error, which is any ValueError (every library error
+class is one) or OSError.  Every randomized command requires --seed.  All
 emitted CSV numbers are rendered with 17 significant digits so parsing
 them back is lossless.
 """
@@ -389,7 +390,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (IngestError, ParameterDomainError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,7 +28,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .families import _check_count, _check_unit_number, _is_int, _market_of
+from .families import _check_count, _check_seed, _check_unit_number, _is_int, _market_of
 from .families import DistributionSpec, ParameterDomainError, sample_rows
 from .oracle import (
     BATCH,
@@ -269,8 +269,7 @@ def _curves(spec, arms, ns, reps, base_seed, cfg, workers):
     """
     _check_count("replications", reps)
     _check_count("workers", workers)
-    if not (_is_int(base_seed) and base_seed >= 0):
-        raise ParameterDomainError(f"seed must be a non-negative integer, got {base_seed!r}")
+    _check_seed(base_seed)
     ns = _check_n_list(ns)
     benched = tuple((strategy, metric, benchmark(spec, strategy, cfg)) for strategy, (benchmark, metric) in arms)
     chunks = _plan_chunks(reps, workers)
@@ -280,7 +279,7 @@ def _curves(spec, arms, ns, reps, base_seed, cfg, workers):
         if len(chunks) > 1:
             run = stack.enter_context(ProcessPoolExecutor(max_workers=len(chunks))).map
         for i, n in enumerate(ns):
-            seed0 = base_seed + i * SEED_STRIDE
+            seed0 = int(base_seed) + i * SEED_STRIDE  # a numpy integer would wrap near its maximum
             jobs = [(spec, n, [seed0 + int(j) for j in c], cfg, benched) for c in chunks]
             out = np.concatenate(list(run(_rep_chunk, jobs)), axis=-1)
             for points, (strategy, _, _), (defs, revs) in zip(curves, benched, out):

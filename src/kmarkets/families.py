@@ -69,6 +69,19 @@ def _check_count(what: str, v, lo: int = 1) -> None:
         raise ParameterDomainError(f"{what} must be an integer >= {lo}")
 
 
+def _check_seed(seed) -> None:
+    """Raise ParameterDomainError unless seed is a non-negative integer (not a bool)."""
+    if not (_is_int(seed) and seed >= 0):
+        raise ParameterDomainError(f"seed must be a non-negative integer, got {seed!r}")
+
+
+def _frozen_copy(a, dtype=float) -> np.ndarray:
+    """A fresh read-only array of a: what a value object keeps, so no caller can alias or mutate it."""
+    out = np.array(a, dtype=dtype)
+    out.flags.writeable = False
+    return out
+
+
 # phi_y's knot table: piecewise linear through (t, phi), zero outside.  Every hat fact reads it.
 _HAT_T = np.array([-1.0, 0.0, 2.0, 3.0])
 _HAT_PHI = np.array([0.0, 1.0, -1.0, 0.0])
@@ -133,17 +146,13 @@ class Dataset:
     x: np.ndarray
 
     def __post_init__(self):
-        y = np.atleast_1d(np.asarray(self.y, dtype=float))
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
+        y = np.atleast_1d(_frozen_copy(self.y))
+        x = np.atleast_1d(_frozen_copy(self.x))
         if y.shape != x.shape or y.ndim != 1:
             raise ParameterDomainError("y and x must be 1-d arrays of equal length")
         if y.size == 0:
             raise EmptyDataError("dataset must contain at least one point")
         _check_unit("valuations and covariates", y, x)
-        y = y.copy()
-        x = x.copy()
-        y.flags.writeable = False
-        x.flags.writeable = False
         object.__setattr__(self, "y", y)
         object.__setattr__(self, "x", x)
 
@@ -458,8 +467,7 @@ def sample_rows(spec: DistributionSpec, n: int, seeds) -> tuple[np.ndarray, np.n
     x = np.empty((len(seeds), n))
     u = np.empty_like(x)
     for seed, x_row, u_row in zip(seeds, x, u):
-        if not (_is_int(seed) and seed >= 0):
-            raise ParameterDomainError(f"seed must be a non-negative integer, got {seed!r}")
+        _check_seed(seed)
         rng = np.random.default_rng(seed)
         rng.random(out=x_row)
         rng.random(out=u_row)

@@ -14,7 +14,8 @@ from functools import partial
 
 import numpy as np
 
-from .families import _check_count, _check_unit, _is_int, _simpson_rule, DistributionSpec, ParameterDomainError
+from .families import _check_count, _check_unit, _frozen_copy, _is_int, _simpson_rule
+from .families import DistributionSpec, ParameterDomainError
 from .pricing import PricingFunction, price_at
 
 GRID_POINTS = 4097  # scan grid for all price maximizations
@@ -51,17 +52,13 @@ class TabulatedPolicy:
     prices: np.ndarray
 
     def __post_init__(self):
-        xg = np.asarray(self.x_grid, dtype=float)
-        pr = np.asarray(self.prices, dtype=float)
+        xg, pr = _frozen_copy(self.x_grid), _frozen_copy(self.prices)
         if xg.ndim != 1 or xg.shape != pr.shape or xg.size < 2:
             raise ParameterDomainError("x_grid and prices must be equal-length 1-d arrays")
         # Written so that NaN, which diff propagates, fails the check.
         if not (np.all(np.diff(xg) > 0.0) and 0.0 <= xg[0] and xg[-1] <= 1.0):
             raise ParameterDomainError("x_grid must be strictly increasing within [0, 1]")
         _check_unit("prices", pr)
-        xg, pr = xg.copy(), pr.copy()
-        xg.flags.writeable = False
-        pr.flags.writeable = False
         object.__setattr__(self, "x_grid", xg)
         object.__setattr__(self, "prices", pr)
 

@@ -22,13 +22,21 @@ with the markets, so the only error left is Monte Carlo error.
   countdown drops to one market, and uniform ERM on two points earns 3/16.
   Expected revenue is 1/12 + 3/32 = 17/96, so the deficiency is 7/96.
 
+Welfare posts p to every covariate and counts the value of each sale, so
+W(p) = int_p^1 y dy = (1 - p^2)/2.  The uniform class optimum p = 1/2 gives
+W* = 3/8, and a fitted rule's welfare deficiency is E|W* - W(p_hat)|.
+
+- Uniform ERM at n = 1 posts Y ~ U[0, 1], so the deficiency is
+  E|1/8 - Y^2/2| = int_0^{1/2} (1/8 - p^2/2) dp + int_{1/2}^1 (p^2/2 - 1/8) dp
+  = 1/24 + 1/12 = 1/8.
+
 Each check allows 4 standard errors at a seed fixed before the test was
 first run.
 """
 
 import pytest
 
-from kmarkets import UniformJoint, kmarkets_strategy, revenue_deficiency, uniform_strategy
+from kmarkets import UniformJoint, kmarkets_strategy, revenue_deficiency, uniform_strategy, welfare_deficiency
 
 REPS = 20_000
 
@@ -46,3 +54,9 @@ def test_deficiency_matches_its_exact_value(strategy, n, exact, seed):
     point = revenue_deficiency(UniformJoint(), strategy, n, REPS, seed)
     assert point.reps == REPS
     assert abs(point.mean_deficiency - exact) <= 4.0 * point.std_error
+
+
+def test_welfare_deficiency_matches_its_exact_value():
+    point = welfare_deficiency(UniformJoint(), uniform_strategy(), 1, REPS, 104)
+    assert point.reps == REPS
+    assert abs(point.mean_deficiency - 1 / 8) <= 4.0 * point.std_error
