@@ -20,7 +20,7 @@ changes a bit; blocks only remove per-replication Python overhead at small n.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import partial
@@ -46,6 +46,18 @@ from .oracle import (
 from .pricing import Constant, k_markets_erm_rows, k_schedule
 
 SEED_STRIDE = 1 << 32  # seed offset between consecutive curve points
+
+
+def __getattr__(name):
+    # The pool pulls in multiprocessing, which a serial run never needs, so
+    # ProcessPoolExecutor is imported on first use and then kept as a module
+    # attribute that callers may read or replace.
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        globals()[name] = ProcessPoolExecutor
+        return ProcessPoolExecutor
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -277,7 +289,8 @@ def _curves(spec, arms, ns, reps, base_seed, cfg, workers):
     with ExitStack() as stack:
         run = map
         if len(chunks) > 1:
-            run = stack.enter_context(ProcessPoolExecutor(max_workers=len(chunks))).map
+            pool = sys.modules[__name__].ProcessPoolExecutor  # read at call time: patchable
+            run = stack.enter_context(pool(max_workers=len(chunks))).map
         for i, n in enumerate(ns):
             seed0 = int(base_seed) + i * SEED_STRIDE  # a numpy integer would wrap near its maximum
             jobs = [(spec, n, [seed0 + int(j) for j in c], cfg, benched) for c in chunks]

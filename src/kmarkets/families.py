@@ -23,9 +23,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-# Curvature floor of the perturbed revenue curves.  Perturbation amplitudes
-# must stay inside (0, 4 - 2*C_STAR) for the revenue curve to remain strongly
-# concave; with C_STAR = 1 that is (0, 2).
+# Curvature floor of the perturbed revenue curves: strong concavity means
+# R'' <= -C_STAR.  Amplitudes are kept below 4 - 2*C_STAR = 2 in absolute
+# value, which alone does not give the floor: the hat width delta must be small
+# too.  The floor holds for |a| <= 1.5 with delta <= 0.02, the range acceptance
+# test 11 checks.  At larger delta it weakens or fails:
+# concavity_margin(1.5, 0.1) reads -0.65, and concavity_margin(1.9, 0.16)
+# reads +0.165, which is not concave.
 C_STAR = 1.0
 _A_MAX = 4.0 - 2.0 * C_STAR
 

@@ -4,6 +4,13 @@ Integrals over the unit square use composite Simpson rules; maximizations
 use a dense grid scan followed by golden-section refinement of the
 bracketing interval.  Pointwise revenue of posting price y to covariate x
 is r(y, x) = y * (1 - F(y|x)).
+
+Every revenue maximized here is a price times a nonincreasing, finite
+demand, so the revenue at the left end p_a of a price segment [p_a, p_b]
+bounds the whole segment: by r(p_a) * p_b / p_a, or by r(p_a) where the
+demand is negative.  The grid scan evaluates only the segments whose bound
+can reach the best left-end revenue, and returns the full scan's result bit
+for bit (see _scan_then_refine).
 """
 
 from __future__ import annotations
@@ -69,6 +76,12 @@ def pointwise_revenue(spec: DistributionSpec, y, x):
     return y * (1.0 - spec.conditional_cdf(y, x))
 
 
+def _row_blocks(size: int) -> tuple[list[int], list[int]]:
+    """Starts and stops of rows [0, size) cut into blocks of BLOCK, the remainder joining the last."""
+    starts = list(range(0, max(size - BLOCK, 0) + 1, BLOCK))
+    return starts, [*starts[1:], size]
+
+
 def marginal_y_cdf(spec: DistributionSpec, p, cfg: QuadratureConfig = DEFAULT_QUAD):
     """Valuation marginal F_Y(p), integrating the conditional CDF over x.
 
@@ -83,8 +96,7 @@ def marginal_y_cdf(spec: DistributionSpec, p, cfg: QuadratureConfig = DEFAULT_QU
     xs, w = _simpson_rule(cfg.x_panels)
     flat = p.reshape(-1)
     vals = np.empty(flat.size)
-    starts = range(0, max(flat.size - BLOCK, 0) + 1, BLOCK)
-    for start, stop in zip(starts, [*starts[1:], flat.size]):
+    for start, stop in zip(*_row_blocks(flat.size)):
         vals[start:stop] = spec.conditional_cdf(flat[start:stop, None], xs) @ w
     return vals.reshape(p.shape) if p.ndim else float(vals[0])
 
@@ -121,24 +133,55 @@ def _golden_max(f, lo, hi, tol):
 def _scan_then_refine(f, xs, tol):
     """Maximize f over prices in [0, 1], one maximization per covariate in xs.
 
-    f(prices, x) maps prices of shape (GRID_POINTS, 1) and a slice of xs to
-    revenues of shape (GRID_POINTS, len(slice)) for the grid scan, which runs
-    BLOCK columns at a time so that its memory stays bounded, and prices of
-    shape (m,) with all of xs to revenues of shape (m,) for one golden-section
-    refinement of the bracket around every column's best grid point.
+    f(prices, x) maps prices of shape (rows, 1) and a slice of xs to revenues
+    of shape (rows, len(slice)) for the grid scan, which runs BLOCK columns at
+    a time so that its memory stays bounded, and prices of shape (m,) with all
+    of xs to revenues of shape (m,) for one golden-section refinement of the
+    bracket around every column's best grid point.  f must be the price times
+    a nonincreasing, finite demand, as every family's revenue is.
     Returns (prices, revenues), each (m,) for m = xs.size.  The grid point is
     kept unless refinement strictly improves on it: near a flat maximum the
     refined revenue ties in floats and the grid abscissa (often an exact
     value like 1/2) is the better answer.
+
+    The scan skips the grid segments that cannot hold a maximum.  The
+    segments are marginal_y_cdf's row blocks of the grid.  On a segment
+    [p_a, p_b] with p_a > 0, r(p) = p * D(p) <= p_b * D(p_a) = r(p_a) * p_b / p_a
+    when r(p_a) >= 0, and r(p) <= r(p_a) when the demand is negative.  A
+    segment is skipped only when, in every column of the block, this bound
+    plus 1e-9 * |best| stays below best, the largest left-end revenue; a NaN
+    keeps it, and the first segment (p_a = 0) is always kept.  So a skipped
+    row is strictly below a revenue the grid reaches: it is neither the first
+    maximum nor tied with it.  The kept segments are evaluated in runs of
+    whole segments, so an elementwise f gives the same bits, marginal_y_cdf
+    integrates exactly the full grid's blocks, and the result is the full
+    grid scan's, bit for bit.
     """
     ys = np.linspace(0.0, 1.0, GRID_POINTS)
+    seg_starts, seg_stops = _row_blocks(GRID_POINTS)
+    left = ys[seg_starts]
+    growth = ys[np.subtract(seg_stops[1:], 1)] / left[1:]  # p_b / p_a past the first segment
     i = np.empty(xs.size, dtype=np.intp)
     grid_rev = np.empty(xs.size)
     for start in range(0, xs.size, BLOCK):
         cols = slice(start, start + BLOCK)
-        rev = f(ys[:, None], xs[cols])
-        i[cols] = np.argmax(rev, axis=0)
-        grid_rev[cols] = rev[i[cols], np.arange(rev.shape[1])]
+        r_a = f(left[:, None], xs[cols])
+        best = r_a.max(axis=0)
+        bound = np.where(r_a[1:] >= 0.0, r_a[1:] * growth[:, None], r_a[1:])
+        keep = [True, *~np.all(bound + 1e-9 * np.abs(best) < best, axis=1)]
+        runs = []  # [start, stop) rows of each run of consecutive kept segments
+        for a, b, kept in zip(seg_starts, seg_stops, keep):
+            if not kept:
+                continue
+            if runs and runs[-1][1] == a:
+                runs[-1][1] = b
+            else:
+                runs.append([a, b])
+        rows = np.concatenate([np.arange(a, b) for a, b in runs])
+        rev = np.concatenate([f(ys[a:b, None], xs[cols]) for a, b in runs])
+        k = np.argmax(rev, axis=0)
+        i[cols] = rows[k]
+        grid_rev[cols] = rev[k, np.arange(rev.shape[1])]
     lo = ys[np.maximum(i - 1, 0)]
     hi = ys[np.minimum(i + 1, GRID_POINTS - 1)]
     p_ref, r_ref = _golden_max(lambda q: f(q, xs), lo, hi, tol)
