@@ -23,6 +23,7 @@ from .families import (
     DistributionSpec,
     Packing,
     ParameterDomainError,
+    PerturbedConditional,
     PerturbedUniform,
     UniformJoint,
 )
@@ -44,31 +45,54 @@ class SupportViolationError(ValueError):
     """Raised when a KL reference density vanishes on the integration grid."""
 
 
-def _simpson_2d(func, cfg: QuadratureConfig, *specs) -> float:
+def _simpson_2d(func, cfg: QuadratureConfig, spec1, spec2) -> float:
     """Iterated Simpson over the unit square, BLOCK x-nodes at a time to bound memory.
 
-    func(y, x) must broadcast.  When every spec is x-independent the x rule
-    is the one node x = 1/2 with weight 1, and cfg.x_panels is unused.  A
+    func(f1, f2) maps the two laws' densities on a block of nodes to the
+    integrand, pointwise.  When both laws are x-independent the x rule is
+    the one node x = 1/2 with weight 1, and cfg.x_panels is unused.  A
     Packing law of m bins rejects an x rule whose panel count divides 2m:
     then every node sits on a bin edge or midpoint, where the bumps vanish,
-    and the divergence would read exactly 0.  The block width fixes how the float sum is
-    grouped, so changing BLOCK moves divergence values in the last digits.
+    and the divergence would read exactly 0.  A PerturbedConditional law
+    rejects an x rule with no node inside its window, for the same reason.
+    The block width fixes how the float sum is grouped, so changing BLOCK
+    moves divergence values in the last digits.
+
+    A block where both laws are uniform at every node (``uniform_given``,
+    read with getattr, so a duck-typed spec keeps every block) is skipped.
+    Its integrand would be func(1, 1) = +0.0 everywhere, its term +0.0, and
+    total + 0.0 == total, so the sum keeps its bits.  Only whole blocks are
+    skipped: dropping single columns would regroup the matrix products.
     """
     ys, wy = _simpson_rule(cfg.y_panels)
+    specs = (spec1, spec2)
     if all(getattr(spec, "x_independent", False) for spec in specs):
         xs, wx = np.full((1, 1), 0.5), np.ones(1)
     else:
+        xs, wx = _simpson_rule(cfg.x_panels)
         for spec in specs:
             if isinstance(spec, Packing) and (2 * spec.m) % cfg.x_panels == 0:
                 raise ParameterDomainError(
                     f"x_panels={cfg.x_panels} divides 2m={2 * spec.m} for a packing of m={spec.m} bins:"
                     " every x node lands where the bumps vanish"
                 )
-        xs, wx = _simpson_rule(cfg.x_panels)
+            if isinstance(spec, PerturbedConditional) and spec.uniform_given(xs).all():
+                raise ParameterDomainError(
+                    f"x_panels={cfg.x_panels} puts no x node inside the window of x0={spec.x0},"
+                    f" delta={spec.delta}: every x node lands where the perturbation vanishes"
+                )
+    uniform = np.ones(wx.size, dtype=bool)
+    for spec in specs:
+        fact = getattr(spec, "uniform_given", None)
+        uniform &= fact(xs[0]) if fact else False
     total = 0.0
     for start in range(0, wx.size, BLOCK):
-        vals = func(ys.T, xs[:, start : start + BLOCK])
-        total += float((wy @ vals) @ wx[start : start + BLOCK])
+        block = slice(start, start + BLOCK)
+        if uniform[block].all():
+            continue
+        x = xs[:, block]
+        vals = func(spec1.conditional_density(ys.T, x), spec2.conditional_density(ys.T, x))
+        total += float((wy @ vals) @ wx[block])
     return total
 
 
@@ -82,10 +106,8 @@ def hellinger_sq(
     cfg.x_panels is unused when both laws are x-independent.
     """
 
-    def integrand(y, x):
-        root1 = np.sqrt(spec1.conditional_density(y, x))
-        root2 = np.sqrt(spec2.conditional_density(y, x))
-        return (root1 - root2) ** 2
+    def integrand(f1, f2):
+        return (np.sqrt(f1) - np.sqrt(f2)) ** 2
 
     return max(_simpson_2d(integrand, cfg, spec1, spec2), 0.0)
 
@@ -103,10 +125,8 @@ def kl_divergence(
     """
     ref_min = math.inf  # smallest spec2 density seen by the integration pass
 
-    def integrand(y, x):
+    def integrand(f1, f2):
         nonlocal ref_min
-        f1 = spec1.conditional_density(y, x)
-        f2 = spec2.conditional_density(y, x)
         ref_min = min(ref_min, float(f2.min()))
         with np.errstate(divide="ignore", invalid="ignore"):
             term = f1 * np.log(f1 / f2)

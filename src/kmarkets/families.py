@@ -186,14 +186,20 @@ class DistributionSpec:
     - ``normalization(xs)``: the integral of f(.|x) over [0, 1] at each x
       of a 1-d grid, computed from the density rather than the CDF
 
-    and may override two facts: ``x_independent`` (f(y|x) does not depend on
+    and may override three facts: ``x_independent`` (f(y|x) does not depend on
     x, so x-averages are free: the marginal CDF and the divergences between
-    two such laws skip the x rule) and ``y_knots`` (kinks of f in y, added to
-    density-check grids).
+    two such laws skip the x rule), ``y_knots`` (kinks of f in y, added to
+    density-check grids) and ``uniform_given(x)`` (a bool array of x's shape,
+    True only where f(y|x) is exactly 1.0 for every y, so the divergences
+    skip x blocks where both laws are uniform; False is always safe and is
+    the default).
     """
 
     x_independent = False
     y_knots = ()
+
+    def uniform_given(self, x):
+        return np.zeros(np.shape(x), dtype=bool)
 
 
 @dataclass(frozen=True)
@@ -201,6 +207,9 @@ class UniformJoint(DistributionSpec):
     """Uniform valuations, uniform covariates, independent."""
 
     x_independent = True
+
+    def uniform_given(self, x):
+        return np.ones(np.shape(x), dtype=bool)
 
     def conditional_density(self, y, x):
         y, x = np.broadcast_arrays(np.asarray(y, float), np.asarray(x, float))
@@ -277,6 +286,10 @@ class _HatFamily(DistributionSpec):
         # The hat's knots clipped to [0, 1].  The upper clip only bites for
         # PerturbedConditional at large delta, whose hat may pass y = 1.
         return np.concatenate(([0.0], np.minimum(0.5 + self.scale * _HAT_T, 1.0), [1.0]))
+
+    def uniform_given(self, x):
+        # A zero coefficient, of either sign, leaves 1 + (+-0) * phi_y exactly 1.
+        return np.asarray(self.coef(x)) == 0.0
 
     def conditional_density(self, y, x):
         y, x = np.asarray(y, float), np.asarray(x, float)

@@ -160,6 +160,7 @@ def test_x_independent_divergences_use_one_column(spec1, spec2):
     "spec1, spec2",
     [
         (PerturbedConditional(a=1.0, delta=0.1, x0=0.5), UniformJoint()),
+        (UniformJoint(), PerturbedConditional(a=1.0, delta=0.05, x0=0.5)),
         (Packing(m=8, a=1.2, alpha=(1, 0, 0, 0, 0, 0, 0, 1)), Packing(m=8, a=1.2, alpha=(0, 1, 1, 0, 0, 0, 0, 0))),
     ],
 )

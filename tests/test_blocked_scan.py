@@ -1,8 +1,13 @@
-"""The blocked grid scan and blocked marginal CDF equal the one-shot versions byte for byte.
+"""The blocked grid scan and blocked marginal CDF equal the one-shot versions byte for byte, for FAMILIES.
 
 The references below are the one-shot forms: the whole (GRID_POINTS x m)
 revenue grid and the whole (prices x x-nodes) CDF grid evaluated at once.
-The blocked forms must agree with them exactly, and stay small in memory.
+For the five laws in FAMILIES the blocked forms agree with them exactly,
+and stay small in memory.  That is not so for every law: a matrix-vector
+product over 64 price rows need not round like the same rows inside one
+product over all prices, because BLAS blocks the sum differently, so
+``PerturbedConditional(a=0.16796875, delta=0.16766666666666666,
+x0=0.6257673759200567)`` reads a marginal CDF 5.55e-17 apart at p = 1/2.
 """
 
 import tracemalloc
