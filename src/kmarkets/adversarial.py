@@ -63,6 +63,15 @@ def _simpson_2d(func, cfg: QuadratureConfig, spec1, spec2) -> float:
     Its integrand would be func(1, 1) = +0.0 everywhere, its term +0.0, and
     total + 0.0 == total, so the sum keeps its bits.  Only whole blocks are
     skipped: dropping single columns would regroup the matrix products.
+
+    In each evaluated block, columns whose pair of ``law_key`` values repeats
+    (read with getattr, defaulting to x, so a duck-typed spec dedupes
+    nothing) share both laws, hence their integrand column.  The densities
+    and func run on the first column of each distinct pair only, and
+    np.take copies the columns back into a C-contiguous matrix equal to the
+    full evaluation's, so the products keep their bits.  A fancy-indexed
+    gather (vals[:, idx]) is not C-contiguous, and BLAS groups its sums
+    differently over it.
     """
     ys, wy = _simpson_rule(cfg.y_panels)
     specs = (spec1, spec2)
@@ -82,16 +91,26 @@ def _simpson_2d(func, cfg: QuadratureConfig, spec1, spec2) -> float:
                     f" delta={spec.delta}: every x node lands where the perturbation vanishes"
                 )
     uniform = np.ones(wx.size, dtype=bool)
+    keys = []
     for spec in specs:
         fact = getattr(spec, "uniform_given", None)
         uniform &= fact(xs[0]) if fact else False
+        law_key = getattr(spec, "law_key", None)
+        keys.append(law_key(xs[0]) if law_key else xs[0])
+    keys = np.stack(keys)
     total = 0.0
     for start in range(0, wx.size, BLOCK):
         block = slice(start, start + BLOCK)
         if uniform[block].all():
             continue
         x = xs[:, block]
+        _, first, inverse = np.unique(keys[:, block], axis=1, return_index=True, return_inverse=True)
+        repeats = first.size < x.size
+        if repeats:
+            x = x[:, first]
         vals = func(spec1.conditional_density(ys.T, x), spec2.conditional_density(ys.T, x))
+        if repeats:
+            vals = np.take(vals, inverse.reshape(-1), axis=1)
         total += float((wy @ vals) @ wx[block])
     return total
 

@@ -92,13 +92,15 @@ def marginal_y_cdf(spec: DistributionSpec, p, cfg: QuadratureConfig = DEFAULT_QU
     p = np.asarray(p, dtype=float)
     _check_unit("prices", p)
     if spec.x_independent:  # the x-average is free
-        return spec.conditional_cdf(p, 0.5)
-    xs, w = _simpson_rule(cfg.x_panels)
-    flat = p.reshape(-1)
-    vals = np.empty(flat.size)
-    for start, stop in zip(*_row_blocks(flat.size)):
-        vals[start:stop] = spec.conditional_cdf(flat[start:stop, None], xs) @ w
-    return vals.reshape(p.shape) if p.ndim else float(vals[0])
+        vals = spec.conditional_cdf(p, 0.5)
+    else:
+        xs, w = _simpson_rule(cfg.x_panels)
+        flat = p.reshape(-1)
+        vals = np.empty(flat.size)
+        for start, stop in zip(*_row_blocks(flat.size)):
+            vals[start:stop] = spec.conditional_cdf(flat[start:stop, None], xs) @ w
+        vals = vals.reshape(p.shape)
+    return vals if p.ndim else float(vals)
 
 
 def _golden_max(f, lo, hi, tol):
@@ -204,11 +206,25 @@ def optimal_3pd_policy(
     x_grid_size: int = 1025,
     cfg: QuadratureConfig = DEFAULT_QUAD,
 ) -> TabulatedPolicy:
-    """Tabulate the pointwise-optimal price p*(x) on a covariate grid."""
+    """Tabulate the pointwise-optimal price p*(x) on a covariate grid.
+
+    Each distinct conditional law is solved once: the grid's covariates are
+    grouped by the family's ``law_key`` (read with getattr, so a duck-typed
+    spec solves every covariate), the first covariate of each group goes to
+    the scan, and its price is scattered back to the group.  The bits hold
+    because equal keys mean equal revenues at every price, the scan returns
+    each column's full-grid first maximum whatever the block's other columns
+    are, and golden section is elementwise: columns of equal keys share one
+    bracket, so the set of bracket widths, which stops it, is unchanged.
+    """
     _check_count("x_grid_size", x_grid_size, 2)
     xs = np.linspace(0.0, 1.0, x_grid_size)
-    prices, _ = _scan_then_refine(partial(pointwise_revenue, spec), xs, cfg.refine_tol)
-    return TabulatedPolicy(x_grid=xs, prices=prices)
+    law_key = getattr(spec, "law_key", None)
+    _, first, inverse = np.unique(
+        law_key(xs) if law_key else xs, return_index=True, return_inverse=True
+    )
+    prices, _ = _scan_then_refine(partial(pointwise_revenue, spec), xs[first], cfg.refine_tol)
+    return TabulatedPolicy(x_grid=xs, prices=prices[inverse.reshape(-1)])
 
 
 def integrate_rows(spec, prices, cfg: QuadratureConfig, integrands) -> np.ndarray:

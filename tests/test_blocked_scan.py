@@ -55,7 +55,8 @@ def _one_shot_scan(f, tol):
 def _one_shot_marginal_y_cdf(spec, p, cfg=DEFAULT_QUAD):
     p = np.asarray(p, dtype=float)
     if spec.x_independent:
-        return spec.conditional_cdf(p, 0.5)
+        vals = spec.conditional_cdf(p, 0.5)
+        return vals if p.ndim else float(vals)
     xs, w = _simpson_rule(cfg.x_panels)
     flat = p.reshape(-1)
     vals = spec.conditional_cdf(flat[:, None], xs) @ w
