@@ -254,12 +254,15 @@ def gilbert_varshamov(m: int) -> Codebook:
             if w not in near:
                 basis.append((w, i))
                 break
-    code = np.zeros(1, dtype=np.int64)
-    for b, _ in basis:
-        code = np.concatenate([code, code ^ b])
-    # Each word shifted to the top of 4 big-endian bytes, so its m bits unpack first, MSB first.
-    packed = (code << (32 - m)).astype(">u4").view(np.uint8).reshape(-1, 4)
-    return Codebook._own(m, np.unpackbits(packed, axis=1, count=m))
+    # The span is doubled in place in the output matrix: rows [s, 2s) are
+    # rows [0, s) XOR the next basis word's bits, MSB first.
+    words = np.empty((1 << len(basis), m), dtype=np.uint8)
+    words[0] = 0
+    msb_first = np.arange(m - 1, -1, -1)
+    for j, (b, _) in enumerate(basis):
+        s = 1 << j
+        np.bitwise_xor(words[:s], (b >> msb_first & 1).astype(np.uint8), out=words[s : 2 * s])
+    return Codebook._own(m, words)
 
 
 def packing_price_separation(

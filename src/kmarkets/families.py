@@ -533,16 +533,31 @@ def validate_density(spec: DistributionSpec, x_grid_size: int = 101) -> DensityR
 
     The integrals come from the family's own ``normalization``.  Also
     reports the smallest density value seen on a y/x evaluation grid that
-    includes the family's ``y_knots``.
+    includes the family's ``y_knots``.  Both run over the covariates in
+    ``_row_blocks``, so memory stays bounded at any grid size.  A block's
+    normalization keeps its bits because the remainder joins the last block
+    (a lone trailing column may round differently in a matrix product), and
+    the extremes of the block extremes are exact, NaN included.
     """
     _check_count("x_grid_size", x_grid_size, 2)
     xs = np.linspace(0.0, 1.0, x_grid_size)
-    ys = np.union1d(np.linspace(0.0, 1.0, 2049), spec.y_knots)
-    dens = spec.conditional_density(ys[:, None], xs[None, :])
-    return DensityReport(
-        max_norm_error=float(np.abs(spec.normalization(xs) - 1.0).max()),
-        min_density=float(dens.min()),
-    )
+    ys = np.union1d(np.linspace(0.0, 1.0, 2049), spec.y_knots)[:, None]
+    starts, stops = _row_blocks(x_grid_size)
+    norm_error, min_density = np.empty(len(starts)), np.empty(len(starts))
+    for i, (start, stop) in enumerate(zip(starts, stops)):
+        block = xs[start:stop]
+        norm_error[i] = np.abs(spec.normalization(block) - 1.0).max()
+        min_density[i] = spec.conditional_density(ys, block[None, :]).min()
+    return DensityReport(max_norm_error=float(norm_error.max()), min_density=float(min_density.min()))
+
+
+BLOCK = 64  # covariate columns (or price rows) evaluated at once by a grid scan or a density check
+
+
+def _row_blocks(size: int) -> tuple[list[int], list[int]]:
+    """Starts and stops of rows [0, size) cut into blocks of BLOCK, the remainder joining the last."""
+    starts = list(range(0, max(size - BLOCK, 0) + 1, BLOCK))
+    return starts, [*starts[1:], size]
 
 
 @functools.lru_cache(maxsize=64)

@@ -21,12 +21,11 @@ from functools import partial
 
 import numpy as np
 
-from .families import _check_count, _check_unit, _frozen_copy, _is_int, _simpson_rule
+from .families import BLOCK, _check_count, _check_unit, _frozen_copy, _is_int, _row_blocks, _simpson_rule
 from .families import DistributionSpec, ParameterDomainError
 from .pricing import PricingFunction, price_at
 
 GRID_POINTS = 4097  # scan grid for all price maximizations
-BLOCK = 64  # covariate columns (or price rows) evaluated at once by a grid scan
 # Elements per batched array: (R, n) sample blocks and integrate_rows blocks.
 # 8192 float64 are 64 KB, under glibc's 128 KB mmap threshold, so the
 # blocks come from the heap instead of faulting in fresh pages each time.
@@ -74,12 +73,6 @@ def pointwise_revenue(spec: DistributionSpec, y, x):
     """Expected revenue y * (1 - F(y|x)) of posting y to covariate x."""
     y = np.asarray(y, dtype=float)
     return y * (1.0 - spec.conditional_cdf(y, x))
-
-
-def _row_blocks(size: int) -> tuple[list[int], list[int]]:
-    """Starts and stops of rows [0, size) cut into blocks of BLOCK, the remainder joining the last."""
-    starts = list(range(0, max(size - BLOCK, 0) + 1, BLOCK))
-    return starts, [*starts[1:], size]
 
 
 def marginal_y_cdf(spec: DistributionSpec, p, cfg: QuadratureConfig = DEFAULT_QUAD):
