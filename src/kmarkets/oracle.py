@@ -102,8 +102,8 @@ def _golden_max(f, lo, hi, tol):
     Returns the best evaluated point and value per element; f must map an
     array of abscissae to an array of values.
     """
-    lo = np.atleast_1d(np.asarray(lo, dtype=float)).copy()
-    hi = np.atleast_1d(np.asarray(hi, dtype=float)).copy()
+    lo = np.atleast_1d(np.asarray(lo, dtype=float))
+    hi = np.atleast_1d(np.asarray(hi, dtype=float))
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
     fc, fd = f(c), f(d)
@@ -147,10 +147,11 @@ def _scan_then_refine(f, xs, tol):
     plus 1e-9 * |best| stays below best, the largest left-end revenue; a NaN
     keeps it, and the first segment (p_a = 0) is always kept.  So a skipped
     row is strictly below a revenue the grid reaches: it is neither the first
-    maximum nor tied with it.  The kept segments are evaluated in runs of
-    whole segments, so an elementwise f gives the same bits, marginal_y_cdf
-    integrates exactly the full grid's blocks, and the result is the full
-    grid scan's, bit for bit.
+    maximum nor tied with it.  Each block's kept segments go to f in one
+    call.  Every segment but the last has BLOCK rows and the last holds the
+    remainder, so marginal_y_cdf's row blocks of the kept rows cut exactly at
+    segment edges and integrate the full grid's own blocks; with an
+    elementwise f the result is the full grid scan's, bit for bit.
     """
     ys = np.linspace(0.0, 1.0, GRID_POINTS)
     seg_starts, seg_stops = _row_blocks(GRID_POINTS)
@@ -164,19 +165,12 @@ def _scan_then_refine(f, xs, tol):
         best = r_a.max(axis=0)
         bound = np.where(r_a[1:] >= 0.0, r_a[1:] * growth[:, None], r_a[1:])
         keep = [True, *~np.all(bound + 1e-9 * np.abs(best) < best, axis=1)]
-        runs = []  # [start, stop) rows of each run of consecutive kept segments
-        for a, b, kept in zip(seg_starts, seg_stops, keep):
-            if not kept:
-                continue
-            if runs and runs[-1][1] == a:
-                runs[-1][1] = b
-            else:
-                runs.append([a, b])
-        rows = np.concatenate([np.arange(a, b) for a, b in runs])
-        rev = np.concatenate([f(ys[a:b, None], xs[cols]) for a, b in runs])
+        rows = np.concatenate([np.arange(a, b) for a, b, kept in zip(seg_starts, seg_stops, keep) if kept])
+        rev = f(ys[rows, None], xs[cols])
         k = np.argmax(rev, axis=0)
         i[cols] = rows[k]
         grid_rev[cols] = rev[k, np.arange(rev.shape[1])]
+        del rev  # before the next block's f call, so one block's revenues are alive at a time
     lo = ys[np.maximum(i - 1, 0)]
     hi = ys[np.minimum(i + 1, GRID_POINTS - 1)]
     p_ref, r_ref = _golden_max(lambda q: f(q, xs), lo, hi, tol)
