@@ -58,15 +58,15 @@ def _simpson_2d(func, cfg: QuadratureConfig, spec1, spec2) -> float:
     The block width fixes how the float sum is grouped, so changing BLOCK
     moves divergence values in the last digits.
 
-    A block where both laws are uniform at every node (``uniform_given``,
-    read with getattr, so a duck-typed spec keeps every block) is skipped.
+    Both specs are DistributionSpec instances, and their facts are called
+    directly; the base class holds the only defaults.  A block where both
+    laws are uniform at every node (``uniform_given``) is skipped.
     Its integrand would be func(1, 1) = +0.0 everywhere, its term +0.0, and
     total + 0.0 == total, so the sum keeps its bits.  Only whole blocks are
     skipped: dropping single columns would regroup the matrix products.
 
     In each evaluated block, columns whose pair of ``law_key`` values repeats
-    (read with getattr, defaulting to x, so a duck-typed spec dedupes
-    nothing) share both laws, hence their integrand column.  The densities
+    share both laws, hence their integrand column.  The densities
     and func run on the first column of each distinct pair only, and
     np.take copies the columns back into a C-contiguous matrix equal to the
     full evaluation's, so the products keep their bits.  A fancy-indexed
@@ -74,12 +74,11 @@ def _simpson_2d(func, cfg: QuadratureConfig, spec1, spec2) -> float:
     differently over it.
     """
     ys, wy = _simpson_rule(cfg.y_panels)
-    specs = (spec1, spec2)
-    if all(getattr(spec, "x_independent", False) for spec in specs):
+    if spec1.x_independent and spec2.x_independent:
         xs, wx = np.full((1, 1), 0.5), np.ones(1)
     else:
         xs, wx = _simpson_rule(cfg.x_panels)
-        for spec in specs:
+        for spec in (spec1, spec2):
             if isinstance(spec, Packing) and (2 * spec.m) % cfg.x_panels == 0:
                 raise ParameterDomainError(
                     f"x_panels={cfg.x_panels} divides 2m={2 * spec.m} for a packing of m={spec.m} bins:"
@@ -90,14 +89,8 @@ def _simpson_2d(func, cfg: QuadratureConfig, spec1, spec2) -> float:
                     f"x_panels={cfg.x_panels} puts no x node inside the window of x0={spec.x0},"
                     f" delta={spec.delta}: every x node lands where the perturbation vanishes"
                 )
-    uniform = np.ones(wx.size, dtype=bool)
-    keys = []
-    for spec in specs:
-        fact = getattr(spec, "uniform_given", None)
-        uniform &= fact(xs[0]) if fact else False
-        law_key = getattr(spec, "law_key", None)
-        keys.append(law_key(xs[0]) if law_key else xs[0])
-    keys = np.stack(keys)
+    uniform = spec1.uniform_given(xs[0]) & spec2.uniform_given(xs[0])
+    keys = np.stack([spec1.law_key(xs[0]), spec2.law_key(xs[0])])
     total = 0.0
     for start in range(0, wx.size, BLOCK):
         block = slice(start, start + BLOCK)
@@ -138,8 +131,9 @@ def kl_divergence(
 ) -> float:
     """KL divergence of spec1 from spec2 over the unit square.
 
-    Errors out if spec2's density is not strictly positive somewhere on the
-    integration grid, rather than returning an unreliable number.
+    Raises SupportViolationError, rather than returning an unreliable number,
+    if the reference density (spec2's) is zero or negative at a node the
+    pass evaluates.
     cfg.x_panels is unused when both laws are x-independent.
     """
     ref_min = math.inf  # smallest spec2 density seen by the integration pass

@@ -27,8 +27,12 @@ from .pricing import PricingFunction, price_at
 
 GRID_POINTS = 4097  # scan grid for all price maximizations
 # Elements per batched array: (R, n) sample blocks and integrate_rows blocks.
-# 8192 float64 are 64 KB, under glibc's 128 KB mmap threshold, so the
-# blocks come from the heap instead of faulting in fresh pages each time.
+# For n <= BATCH, 8192 float64 are 64 KB, under glibc's 128 KB mmap threshold,
+# so the blocks come from the heap instead of faulting in fresh pages each
+# time.  Above it R = 1 and a block is one row of n values, 256 KB at n = 2^15,
+# over the threshold: with glibc on Linux x86-64, crossing_scan(PowerSimulated())
+# at reps = 100 holds its peak RSS flat from n = 1024 to 16384 and adds about
+# 0.6 MB at n = 32768.
 BATCH = 8192
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -196,20 +200,18 @@ def optimal_3pd_policy(
     """Tabulate the pointwise-optimal price p*(x) on a covariate grid.
 
     Each distinct conditional law is solved once: the grid's covariates are
-    grouped by the family's ``law_key`` (read with getattr, so a duck-typed
-    spec solves every covariate), the first covariate of each group goes to
-    the scan, and its price is scattered back to the group.  The bits hold
-    because equal keys mean equal revenues at every price, the scan returns
-    each column's full-grid first maximum whatever the block's other columns
-    are, and golden section is elementwise: columns of equal keys share one
-    bracket, so the set of bracket widths, which stops it, is unchanged.
+    grouped by the spec's ``law_key`` (DistributionSpec's default, x itself,
+    makes each covariate its own group), the first covariate of each group
+    goes to the scan, and its price is scattered back to the group.  The bits
+    hold because equal keys mean equal revenues at every price, the scan
+    returns each column's full-grid first maximum whatever the block's other
+    columns are, and golden section is elementwise: columns of equal keys
+    share one bracket, so the set of bracket widths, which stops it, is
+    unchanged.
     """
     _check_count("x_grid_size", x_grid_size, 2)
     xs = np.linspace(0.0, 1.0, x_grid_size)
-    law_key = getattr(spec, "law_key", None)
-    _, first, inverse = np.unique(
-        law_key(xs) if law_key else xs, return_index=True, return_inverse=True
-    )
+    _, first, inverse = np.unique(spec.law_key(xs), return_index=True, return_inverse=True)
     prices, _ = _scan_then_refine(partial(pointwise_revenue, spec), xs[first], cfg.refine_tol)
     return TabulatedPolicy(x_grid=xs, prices=prices[inverse.reshape(-1)])
 

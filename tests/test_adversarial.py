@@ -26,7 +26,7 @@ from kmarkets import (
     phi_y,
 )
 from kmarkets.adversarial import HELLINGER_BOUND_COEF
-from kmarkets.families import _simpson_rule
+from kmarkets.families import DistributionSpec, _simpson_rule
 from kmarkets.oracle import BLOCK
 
 FAST_QUAD = QuadratureConfig(y_panels=2048, x_panels=16)
@@ -98,7 +98,7 @@ def test_kl_zero_and_asymmetric():
 
 
 def test_kl_rejects_vanishing_reference():
-    class Degenerate:
+    class Degenerate(DistributionSpec):
         def conditional_density(self, y, x):
             return np.zeros(np.broadcast(y, x).shape)
 
@@ -331,8 +331,8 @@ def test_packing_runs_an_x_rule_that_does_not_divide_2m(m, panels):
     assert kl_divergence(bump, Packing(m=m, a=1.0, alpha=(0,) * m), cfg) > 0.0
 
 
-def test_a_duck_typed_spec_runs_any_x_rule():
-    class Bumped:  # no x_independent flag and no bin count: the full x rule at 8 panels
+def test_a_density_only_spec_runs_any_x_rule():
+    class Bumped(DistributionSpec):  # no x facts and no bin count: the full x rule at 8 panels
         def conditional_density(self, y, x):
             return 1.0 + 0.5 * phi_y(4.0 * (np.asarray(y) - 0.5)) * phi_x(np.asarray(x))
 

@@ -3,7 +3,9 @@
 The package's public surface is the one ``__all__`` in ``kmarkets/__init__.py``;
 a second export list in a submodule drifts from it.  A module imports only
 what it uses, so an import never stands in for a re-export; ``__init__.py``
-imports names precisely to re-export them and is exempt.
+imports names precisely to re-export them and is exempt.  Every spec is a
+``DistributionSpec``, whose class holds the only defaults of the family
+facts, so no module reads a fact through ``getattr`` with a fallback.
 """
 
 import ast
@@ -14,6 +16,7 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "kmarkets"
 MODULES = sorted(PACKAGE.glob("*.py"))
 SUBMODULES = [path for path in MODULES if path.name != "__init__.py"]
+FAMILY_FACTS = {"x_independent", "y_knots", "uniform_given", "law_key"}
 
 
 def _tree(path):
@@ -53,3 +56,21 @@ def test_every_import_is_used(path):
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     unused = sorted(set(_imported_names(tree)) - used)
     assert not unused, f"{path.name} imports but never uses {unused}"
+
+
+def _getattr_facts(path):
+    for node in ast.walk(_tree(path)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "getattr"
+            and len(node.args) >= 2
+            and isinstance(node.args[1], ast.Constant)
+            and node.args[1].value in FAMILY_FACTS
+        ):
+            yield f"{path.name}:{node.lineno} {node.args[1].value}"
+
+
+def test_no_family_fact_is_read_through_getattr():
+    found = [hit for path in MODULES for hit in _getattr_facts(path)]
+    assert not found, f"family facts read through getattr: {found}"
