@@ -23,7 +23,6 @@ from .families import (
     DistributionSpec,
     Packing,
     ParameterDomainError,
-    PerturbedConditional,
     PerturbedUniform,
     UniformJoint,
 )
@@ -50,20 +49,18 @@ def _simpson_2d(func, cfg: QuadratureConfig, spec1, spec2) -> float:
 
     func(f1, f2) maps the two laws' densities on a block of nodes to the
     integrand, pointwise.  When both laws are x-independent the x rule is
-    the one node x = 1/2 with weight 1, and cfg.x_panels is unused.  A
-    Packing law of m bins rejects an x rule whose panel count divides 2m:
-    then every node sits on a bin edge or midpoint, where the bumps vanish,
-    and the divergence would read exactly 0.  A PerturbedConditional law
-    rejects an x rule with no node inside its window, for the same reason.
-    The block width fixes how the float sum is grouped, so changing BLOCK
+    the one node x = 1/2 with weight 1, and cfg.x_panels is unused.  The
+    block width fixes how the float sum is grouped, so changing BLOCK
     moves divergence values in the last digits.
 
     Both specs are DistributionSpec instances, and their facts are called
-    directly; the base class holds the only defaults.  A block where both
-    laws are uniform at every node (``uniform_given``) is skipped.
-    Its integrand would be func(1, 1) = +0.0 everywhere, its term +0.0, and
-    total + 0.0 == total, so the sum keeps its bits.  Only whole blocks are
-    skipped: dropping single columns would regroup the matrix products.
+    directly; the base class holds the only defaults.  A law that is not
+    x-independent but is uniform (``uniform_given``) at every node of the x
+    rule is refused: the rule cannot see how it depends on x.  A block where
+    both laws are uniform at every node is skipped.  Its integrand would be
+    func(1, 1) = +0.0 everywhere, its term +0.0, and total + 0.0 == total,
+    so the sum keeps its bits.  Only whole blocks are skipped: dropping
+    single columns would regroup the matrix products.
 
     In each evaluated block, columns whose pair of ``law_key`` values repeats
     share both laws, hence their integrand column.  The densities
@@ -78,18 +75,12 @@ def _simpson_2d(func, cfg: QuadratureConfig, spec1, spec2) -> float:
         xs, wx = np.full((1, 1), 0.5), np.ones(1)
     else:
         xs, wx = _simpson_rule(cfg.x_panels)
-        for spec in (spec1, spec2):
-            if isinstance(spec, Packing) and (2 * spec.m) % cfg.x_panels == 0:
-                raise ParameterDomainError(
-                    f"x_panels={cfg.x_panels} divides 2m={2 * spec.m} for a packing of m={spec.m} bins:"
-                    " every x node lands where the bumps vanish"
-                )
-            if isinstance(spec, PerturbedConditional) and spec.uniform_given(xs).all():
-                raise ParameterDomainError(
-                    f"x_panels={cfg.x_panels} puts no x node inside the window of x0={spec.x0},"
-                    f" delta={spec.delta}: every x node lands where the perturbation vanishes"
-                )
-    uniform = spec1.uniform_given(xs[0]) & spec2.uniform_given(xs[0])
+    uniform = np.ones(wx.size, dtype=bool)
+    for spec in (spec1, spec2):
+        given = spec.uniform_given(xs[0])
+        if given.all() and not spec.x_independent:
+            raise ParameterDomainError(f"x_panels={cfg.x_panels} puts every x node where {spec!r} is uniform")
+        uniform &= given
     keys = np.stack([spec1.law_key(xs[0]), spec2.law_key(xs[0])])
     total = 0.0
     for start in range(0, wx.size, BLOCK):

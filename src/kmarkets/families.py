@@ -195,15 +195,17 @@ class DistributionSpec:
 
     and may override four facts: ``x_independent`` (f(y|x) does not depend on
     x, so x-averages are free: the marginal CDF and the divergences between
-    two such laws skip the x rule), ``y_knots`` (kinks of f in y, added to
-    density-check grids), ``uniform_given(x)`` (a bool array of x's shape,
-    True only where f(y|x) is exactly 1.0 for every y, so the divergences
-    skip x blocks where both laws are uniform; False is always safe and is
-    the default) and ``law_key(x)`` (a float array of x's shape; covariates
-    with equal keys must have conditional densities and CDFs of the same
-    bits at every y, so the 3PD oracle and the divergences solve each
-    distinct law once; the default, x itself, makes every covariate its
-    own law).
+    two such laws skip the x rule; False means f may depend on x, and the
+    divergences refuse an x rule where such a law is ``uniform_given`` at
+    every node, so a law uniform everywhere must say True), ``y_knots``
+    (kinks of f in y, added to density-check grids), ``uniform_given(x)``
+    (a bool array of x's shape, True only where f(y|x) is exactly 1.0 for
+    every y, so the divergences skip x blocks where both laws are uniform;
+    False is always safe and is the default) and ``law_key(x)`` (a float
+    array of x's shape; covariates with equal keys must have conditional
+    densities and CDFs of the same bits at every y, so the 3PD oracle and
+    the divergences solve each distinct law once; the default, x itself,
+    makes every covariate its own law).
     """
 
     x_independent = False
@@ -453,7 +455,9 @@ class Packing(_HatFamily):
         f(y|x) = 1 + (a/m) * alpha_j * phi_y(m*(y-1/2)) * phi_x(m*x - (j-1)),
 
     i.e. the hat scale is 1/m and the covariate bump is recentered in each
-    bin.  With all bits zero this is exactly the uniform joint.
+    bin.  With all bits zero this is exactly the uniform joint, and says
+    ``x_independent``; with a bit set it may depend on x, and the
+    divergences refuse an x rule whose every node lands where it is uniform.
     """
 
     m: int
@@ -468,6 +472,10 @@ class Packing(_HatFamily):
         if len(alpha) != self.m or any(b not in (0, 1) for b in alpha):
             raise ParameterDomainError("alpha must be a bit vector of length m")
         object.__setattr__(self, "alpha", tuple(int(b) for b in alpha))
+
+    @property
+    def x_independent(self) -> bool:
+        return not any(self.alpha)
 
     @property
     def scale(self) -> float:

@@ -138,6 +138,7 @@ X_INDEPENDENT_PAIRS = [
     (PerturbedUniform(a=1.9, delta=0.15), UniformJoint()),
     (PerturbedUniform(a=0.4, delta=0.02), UniformJoint()),
     (PerturbedUniform(a=1.0, delta=0.1), PerturbedUniform(a=-0.5, delta=0.08)),
+    (Packing(m=16, a=1.0, alpha=(0,) * 16), PerturbedUniform(a=1.0, delta=0.05)),
 ]
 
 
@@ -317,7 +318,7 @@ def test_packing_rejects_an_x_rule_that_divides_2m(m, panels):
     bump = Packing(m=m, a=1.0, alpha=(1,) + (0,) * (m - 1))
     cfg = QuadratureConfig(y_panels=256, x_panels=panels)
     for divergence in (hellinger_sq, kl_divergence):
-        with pytest.raises(ParameterDomainError, match=f"x_panels={panels} .* m={m} bins"):
+        with pytest.raises(ParameterDomainError, match=rf"x_panels={panels} puts every x node where Packing\(m={m}, "):
             divergence(bump, UniformJoint(), cfg)
     with pytest.raises(ParameterDomainError):
         kl_divergence(UniformJoint(), bump, cfg)
@@ -346,3 +347,35 @@ def test_cli_kl_exits_2_on_an_aliasing_x_rule(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "x_panels=64" in captured.err and "m=32" in captured.err
+
+
+E_3 = tuple(int(i == 3) for i in range(16))
+
+
+def test_a_packing_whose_set_bins_hold_no_x_node_is_refused(capsys):
+    # 12 panels put nodes at multiples of 4/3 in units of 1/m: bin 3 of 16 holds none, so the divergence read exactly 0.
+    from kmarkets.cli import main
+
+    bump, cfg = Packing(m=16, a=1.0, alpha=E_3), QuadratureConfig(y_panels=256, x_panels=12)
+    for divergence in (hellinger_sq, kl_divergence):
+        for pair in ((bump, UniformJoint()), (UniformJoint(), bump)):
+            with pytest.raises(ParameterDomainError, match=r"x_panels=12 puts every x node where Packing\(m=16, "):
+                divergence(*pair, cfg)
+    argv = ["adversarial", "kl", "--m", "16", "--a", "1.0", "--alpha", "0001000000000000",
+            "--alpha2", "0000000000000000", "--quad-x", "12"]
+    assert main(argv) == 2
+    assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("m, panels", [(8, 8), (8, 16), (32, 64)])
+def test_two_zero_packings_read_zero_at_any_x_rule(m, panels):
+    zeros = Packing(m=m, a=1.0, alpha=(0,) * m)
+    cfg = QuadratureConfig(y_panels=256, x_panels=panels)
+    assert hellinger_sq(zeros, zeros, cfg) == 0.0
+    assert kl_divergence(zeros, Packing(m=m, a=1.5, alpha=(0,) * m), cfg) == 0.0
+
+
+def test_a_packing_is_x_independent_exactly_when_no_bit_is_set():
+    assert Packing(m=16, a=1.0, alpha=(0,) * 16).x_independent
+    assert not Packing(m=16, a=1.0, alpha=E_3).x_independent
+    assert not Packing(m=8, a=1.0, alpha=(1,) * 8).x_independent

@@ -8,6 +8,7 @@ import pytest
 from kmarkets import (
     Constant,
     KMarkets,
+    Packing,
     ParameterDomainError,
     PerturbedUniform,
     PowerSimulated,
@@ -66,6 +67,11 @@ def test_uniform_baseline_exact():
     p, r = optimal_uniform_price(UniformJoint())
     assert abs(p - 0.5) <= 1e-9
     assert abs(r - 0.25) <= 1e-9
+
+
+def test_a_zero_pattern_packing_prices_exactly_like_the_uniform_joint():
+    # No bit set: the law says x_independent, so F_Y is F(y|1/2) = y with no x-rule round-off.
+    assert optimal_uniform_price(Packing(m=16, a=1.0, alpha=(0,) * 16)) == (0.5, 0.25)
 
 
 def test_power_optimal_uniform_price():
